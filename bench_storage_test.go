@@ -9,7 +9,7 @@
 //     row-struct slices — the pre-columnar design), so the ratio of the two
 //     liveMB numbers is the resident-memory win.
 //   - rangescan: a predicate scan over all 1M rows through the zero-alloc
-//     ScanMatching path (allocs/op is the interesting number).
+//     ScanFrom path, from row 0 (allocs/op is the interesting number).
 //   - getnext-warm: one Get-Next call on a warm MD-RERANK cursor backed by
 //     the columnar history (allocs/op again — the per-increment garbage the
 //     serving tier generates under sustained load).
@@ -205,10 +205,9 @@ func BenchmarkStorageScale(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			matched, sum = 0, 0
-			storageStore.ScanMatching(q, func(v colstore.View, row int) bool {
+			storageStore.ScanFrom(q, 0, func(v colstore.View, row int) {
 				matched++
 				sum += v.Ord(row, dataset.BNCarat)
-				return true
 			})
 		}
 		b.StopTimer()

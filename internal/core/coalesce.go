@@ -53,9 +53,10 @@ const defaultProbeCacheSize = 1024
 
 // flight is one in-flight upstream call shared by its followers.
 type flight struct {
-	done chan struct{}
-	res  hidden.Result
-	err  error
+	done    chan struct{}
+	res     hidden.Result
+	err     error
+	waiters int // followers that joined this flight (guarded by flightGroup.mu)
 }
 
 // flightGroup is a minimal singleflight: Do runs fn once per key among
@@ -84,6 +85,7 @@ func (g *flightGroup) Do(key string, fn func() (hidden.Result, error)) (res hidd
 	for {
 		g.mu.Lock()
 		if f, ok := g.inflight[key]; ok {
+			f.waiters++
 			g.mu.Unlock()
 			<-f.done
 			if f.err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -233,16 +234,18 @@ func TestFlightGroupCoalesces(t *testing.T) {
 			}
 		}()
 	}
-	// Let the burst pile onto the in-flight call, then release it. The
-	// sleep-free guarantee is one leader per execution; the burst timing
-	// makes full coalescing overwhelmingly likely.
+	// Release the leader only once every other caller has joined its
+	// flight: the burst then collapses to exactly one execution, with no
+	// dependence on scheduling.
 	for {
 		g.mu.Lock()
-		_, inflight := g.inflight["k"]
+		f, inflight := g.inflight["k"]
+		joined := inflight && f.waiters == callers-1
 		g.mu.Unlock()
-		if inflight {
+		if joined {
 			break
 		}
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -408,18 +409,46 @@ func TestRerankCorrectAfterDrift(t *testing.T) {
 	}
 }
 
-// TestRerankCorrectAfterDriftFlaky is the same matrix over a guarded flaky
-// upstream (20% injected failures, hedging enabled): zero wrong answers, and
-// the engine ledger charges exactly one query per logical probe the guard
-// admitted — retries and hedges never double-charge.
+// TestRerankCorrectAfterDriftFlaky is the same matrix over a guarded faulty
+// upstream (20% injected failures): zero wrong answers, and the engine ledger
+// charges exactly one query per logical probe the guard admitted — retries
+// and hedges never double-charge. Each cell enables one recovery mechanism
+// and uses a fault pattern that mechanism alone must absorb, so each can
+// prove it actually ran.
 func TestRerankCorrectAfterDriftFlaky(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	db, tuples := newTestDB(t, rng, 2, 300, 10, false, systemRankers(2)[0])
-	flaky := &hidden.FlakyDB{DB: db, FailEvery: 5}
-	g := hidden.NewGuard(flaky, hidden.GuardOptions{
-		BackoffBase: time.Nanosecond, // keep retries instant in tests
-		HedgeAfter:  time.Nanosecond, // hedge aggressively: worst case for double-charging
+	t.Run("retry", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(61))
+		db, tuples := newTestDB(t, rng, 2, 300, 10, false, systemRankers(2)[0])
+		flaky := &hidden.FlakyDB{DB: db, FailEvery: 5}
+		g := hidden.NewGuard(flaky, hidden.GuardOptions{
+			BackoffBase: time.Nanosecond, // keep retries instant in tests
+		})
+		h := runDriftOverGuard(t, rng, db, tuples, g, flaky.Calls)
+		if h.Retries == 0 {
+			t.Fatal("flaky upstream produced no retries — test not exercising the guard")
+		}
 	})
+	t.Run("hedge", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(61))
+		db, tuples := newTestDB(t, rng, 2, 300, 10, false, systemRankers(2)[0])
+		stall := newStallFaultDB(db, 5)
+		defer stall.release()
+		g := hidden.NewGuard(stall, hidden.GuardOptions{
+			Retries:    -1, // the hedge is the only recovery
+			HedgeAfter: 100 * time.Microsecond,
+		})
+		h := runDriftOverGuard(t, rng, db, tuples, g, stall.Calls)
+		if h.Hedges == 0 || h.HedgeWins == 0 {
+			t.Fatalf("hedges=%d wins=%d — test not exercising hedging", h.Hedges, h.HedgeWins)
+		}
+	})
+}
+
+// runDriftOverGuard runs the drift matrix over g (wrapping db), then checks
+// the guard-independent invariants: the ledger equals the guard's logical
+// probes, the upstream saw extra physical calls, and no logical probe failed.
+func runDriftOverGuard(t *testing.T, rng *rand.Rand, db *hidden.DB, tuples []types.Tuple, g *hidden.Guard, physCalls func() int64) hidden.GuardHealth {
+	t.Helper()
 	e := NewEngine(g, Options{N: 300})
 	oracle := deepCopyTuples(tuples)
 
@@ -429,23 +458,75 @@ func TestRerankCorrectAfterDriftFlaky(t *testing.T) {
 	}
 	mutateCorpus(t, db, oracle, rng)
 	if bumped, _, err := e.SentinelPass(); err != nil || !bumped {
-		t.Fatalf("sentinel over flaky upstream: bumped=%v err=%v", bumped, err)
+		t.Fatalf("sentinel over faulty upstream: bumped=%v err=%v", bumped, err)
 	}
 	runDriftMatrix(t, e, oracle, 5)
 
 	h := g.Health()
-	if h.Retries == 0 {
-		t.Fatal("flaky upstream produced no retries — test not exercising the guard")
-	}
 	if e.Queries() != h.Probes {
 		t.Fatalf("engine ledger %d != guard logical probes %d — a retry or hedge double-charged", e.Queries(), h.Probes)
 	}
-	if phys := flaky.Calls(); phys <= h.Probes {
+	if phys := physCalls(); phys <= h.Probes {
 		t.Fatalf("physical calls %d <= logical probes %d — hedges/retries not exercised", phys, h.Probes)
 	}
 	if h.Failures != 0 {
-		t.Fatalf("%d logical probes failed outright at 20%% flake with retries", h.Failures)
+		t.Fatalf("%d logical probes failed outright at 20%% faults", h.Failures)
 	}
+	return h
+}
+
+// stallFaultDB fails the first physical call for every failEvery-th distinct
+// query, and only once a second call for that same query has started: the
+// faulted leg stalls until the guard's hedge of the same probe overtakes it.
+// The overtaking call is never faulted, so every fault is one a hedge alone
+// can absorb, whatever order the two legs reach the upstream in.
+type stallFaultDB struct {
+	hidden.Database
+	failEvery int
+
+	mu    sync.Mutex
+	moved *sync.Cond
+	seen  map[string]int // physical calls per query key
+	calls int64
+	done  bool
+}
+
+func newStallFaultDB(db hidden.Database, failEvery int) *stallFaultDB {
+	d := &stallFaultDB{Database: db, failEvery: failEvery, seen: make(map[string]int)}
+	d.moved = sync.NewCond(&d.mu)
+	return d
+}
+
+func (d *stallFaultDB) TopK(q query.Query) (hidden.Result, error) {
+	key := q.String()
+	d.mu.Lock()
+	d.calls++
+	d.seen[key]++
+	d.moved.Broadcast()
+	if d.seen[key] > 1 || len(d.seen)%d.failEvery != 0 {
+		d.mu.Unlock()
+		return d.Database.TopK(q)
+	}
+	for d.seen[key] == 1 && !d.done {
+		d.moved.Wait()
+	}
+	d.mu.Unlock()
+	return hidden.Result{}, hidden.ErrTransient
+}
+
+// Calls returns the number of physical calls so far.
+func (d *stallFaultDB) Calls() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.calls
+}
+
+// release unblocks any faulted leg still stalled.
+func (d *stallFaultDB) release() {
+	d.mu.Lock()
+	d.done = true
+	d.moved.Broadcast()
+	d.mu.Unlock()
 }
 
 // TestEpochPersistsAcrossJournalReplay: epoch bumps and per-region epochs

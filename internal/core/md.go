@@ -57,12 +57,18 @@
 // Determinism. Every decision point runs in a fixed order on the cursor
 // goroutine: region rounds are composed and their results applied in heap
 // order, frontier rounds are composed and processed in pop order, and
-// history is read for seeding only between rounds. Concurrent resolutions
-// touch disjoint boxes, so their probes cannot serve one another through the
-// coalescing layer. The emitted tuple sequence is therefore identical for
-// every W (each top-1 is an exact minimum regardless of exploration order),
-// and the session ledger is exactly reproducible for a fixed W — speculation
-// changes how much is charged, never making the charge nondeterministic.
+// history is read for seeding only between rounds. Seeding goes through a
+// per-cursor seed index: the history rows matching the cursor's query,
+// each scored once and ordered lazily by (score, ID), plus the arena row
+// watermark read so far. The arena is append-only, so each round reads only
+// the rows appended since the last one, and a round's seeds are the first
+// in-box entries of that order — exactly the minima a full history scan
+// would find. Concurrent resolutions touch disjoint boxes, so their probes
+// cannot serve one another through the coalescing layer. The emitted tuple
+// sequence is therefore identical for every W (each top-1 is an exact
+// minimum regardless of exploration order), and the session ledger is
+// exactly reproducible for a fixed W — speculation changes how much is
+// charged, never making the charge nondeterministic.
 // (The one caveat: ledger reproducibility assumes the engine-wide probe LRU
 // is not evicting mid-run and no unrelated session is mutating it, the same
 // caveat PR 1 established for cross-session cost attribution.)
@@ -84,6 +90,7 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/hidden"
+	"repro/internal/history"
 	"repro/internal/index"
 	"repro/internal/query"
 	"repro/internal/ranking"
@@ -121,6 +128,8 @@ type MDCursor struct {
 	// before the round launches, cleared after it joins.
 	excludeID int
 	excludeOK bool
+
+	seeds seedIndex // history seeding index, read and grown between rounds
 }
 
 // mdResolver is the per-resolution mutable state of one top-1 search: its
@@ -509,23 +518,183 @@ func (c *MDCursor) popRound(limit int, mandatory bool) []*mdRegion {
 // cursor goroutine, before any of the round's probes can grow the history —
 // the ordering that keeps each resolution's probe stream deterministic.
 // Region i uses resolver i+off.
+//
+// The cursor's seed index first absorbs the rows appended since the last
+// round, then the walk visits matching history in ascending (score, ID)
+// order, skipping emitted and excluded tuples. The first entry inside a
+// region's box is exactly the minimum a full scan of that box would find,
+// so each region adopts it and the walk ends once every region is seeded.
+// Axis points are computed only for the entries walked, and each seed is
+// materialized once.
 func (c *MDCursor) seedRound(regs []*mdRegion, off int) []candidate {
 	cands := make([]candidate, len(regs))
 	if c.s.e.opts.DisableHistory {
 		return cands
 	}
-	// One pass over the matching history seeds every slot: all callbacks
-	// run on the cursor goroutine, so sharing the scan preserves the
-	// deterministic seeding order while keeping the cost independent of W.
-	// The scan reads the columnar view directly — a candidate tuple is
-	// materialized only when a slot actually adopts it.
-	c.s.e.know.hist.ScanMatching(c.q, func(v colstore.View, row int) bool {
-		for i, reg := range regs {
-			c.resolvers[i+off].improveRow(&cands[i], v, row, reg.box)
+	hist := c.s.e.know.hist
+	r := c.resolvers[off]
+	x := &c.seeds
+	x.refresh(hist, c.q, r.axis)
+	v := hist.View() // covers every row below the index's watermark
+	left := len(regs)
+	for i := 0; left > 0; i++ {
+		if i == len(x.sorted) && !x.grow() {
+			break
 		}
-		return true
-	})
+		e := x.sorted[i]
+		if c.emitted[e.id] {
+			if i == 0 {
+				// Emission is permanent and runs in score order, so
+				// emitted entries gather at the front: drop them for good.
+				x.sorted = x.sorted[1:]
+				i--
+			}
+			continue
+		}
+		if c.excludeOK && e.id == c.excludeID {
+			continue
+		}
+		z := r.axis.ToAxisViewInto(v, e.row, r.zbuf)
+		// Regions are disjoint, so an entry seeds at most one; testing
+		// every unseeded region keeps the result exact even if they were
+		// not.
+		for j, reg := range regs {
+			if !cands[j].have && reg.box.Contains(z) {
+				cands[j] = candidate{t: v.Tuple(e.row), score: e.score, have: true}
+				left--
+			}
+		}
+	}
 	return cands
+}
+
+// seedEntry is one history row matching the cursor's query, scored once.
+type seedEntry struct {
+	score float64
+	id    int
+	row   int
+}
+
+// seedLess is the candidate order: ascending score, ties by smaller ID.
+func seedLess(a, b seedEntry) bool {
+	return a.score < b.score || (a.score == b.score && a.id < b.id)
+}
+
+// seedIndex is a cursor's incremental view of the history rows matching its
+// query, ordered lazily by (score, ID). sorted is an exact prefix of that
+// order and rest a min-heap of every entry after sorted's tail; walks pop
+// from rest only as far as they need. mark is the arena row watermark: the
+// arena is append-only, so rows below it are final and each refresh reads
+// only the rows appended since the previous one.
+type seedIndex struct {
+	mark   int
+	sorted []seedEntry
+	rest   seedHeap
+	fresh  []seedEntry // refresh scratch: new entries that sort before sorted's tail
+}
+
+// refresh absorbs the matching rows appended since the last refresh. A new
+// entry sorting before sorted's tail is merged into the prefix (one linear
+// pass per batch); every other entry joins the heap.
+func (x *seedIndex) refresh(hist *history.Store, q query.Query, ax *ranking.Axis) {
+	tail, haveTail := seedEntry{}, len(x.sorted) > 0
+	if haveTail {
+		tail = x.sorted[len(x.sorted)-1]
+	}
+	heaped := len(x.rest)
+	x.fresh = x.fresh[:0]
+	x.mark = hist.ScanFrom(q, x.mark, func(v colstore.View, row int) {
+		e := seedEntry{score: ax.ScoreView(v, row), id: v.ID(row), row: row}
+		if haveTail && seedLess(e, tail) {
+			x.fresh = append(x.fresh, e)
+		} else {
+			x.rest = append(x.rest, e)
+		}
+	})
+	if added := len(x.rest) - heaped; added > heaped {
+		x.rest.init()
+	} else {
+		for i := heaped; i < len(x.rest); i++ {
+			x.rest.up(i)
+		}
+	}
+	if len(x.fresh) > 0 {
+		x.mergeFresh()
+	}
+}
+
+// mergeFresh sorts the fresh batch and merges it into sorted back to front,
+// in place.
+func (x *seedIndex) mergeFresh() {
+	f := x.fresh
+	sort.Slice(f, func(i, j int) bool { return seedLess(f[i], f[j]) })
+	i, j := len(x.sorted)-1, len(f)-1
+	x.sorted = append(x.sorted, f...)
+	for k := len(x.sorted) - 1; j >= 0; k-- {
+		if i >= 0 && seedLess(f[j], x.sorted[i]) {
+			x.sorted[k] = x.sorted[i]
+			i--
+		} else {
+			x.sorted[k] = f[j]
+			j--
+		}
+	}
+}
+
+// grow moves the heap minimum onto the end of sorted, reporting false when
+// every entry is already sorted.
+func (x *seedIndex) grow() bool {
+	if len(x.rest) == 0 {
+		return false
+	}
+	x.sorted = append(x.sorted, x.rest.pop())
+	return true
+}
+
+// seedHeap is a binary min-heap of seed entries under seedLess.
+type seedHeap []seedEntry
+
+func (h seedHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h seedHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !seedLess(h[j], h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h seedHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && seedLess(h[r], h[j]) {
+			j = r
+		}
+		if !seedLess(h[j], h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+func (h *seedHeap) pop() seedEntry {
+	old := *h
+	top, last := old[0], len(old)-1
+	old[0] = old[last]
+	*h = old[:last]
+	h.down(0)
+	return top
 }
 
 // runRound resolves the round's regions concurrently (region i on resolver
@@ -649,25 +818,6 @@ func (r *mdResolver) improveOne(cand *candidate, t types.Tuple, box query.Box) {
 	s := r.axis.ScoreTuple(t)
 	if !cand.have || s < cand.score || (s == cand.score && t.ID < cand.t.ID) {
 		cand.t, cand.score, cand.have = t, s, true
-	}
-}
-
-// improveRow is improveOne reading straight from a columnar history row. The
-// scan that feeds it has already filtered by the cursor's query, so only the
-// emitted/excluded checks remain, and the tuple is materialized only when
-// the candidate actually adopts it.
-func (r *mdResolver) improveRow(cand *candidate, v colstore.View, row int, box query.Box) {
-	id := v.ID(row)
-	if r.c.emitted[id] || (r.c.excludeOK && id == r.c.excludeID) {
-		return
-	}
-	z := r.axis.ToAxisViewInto(v, row, r.zbuf)
-	if !box.Contains(z) {
-		return
-	}
-	s := r.axis.ScoreView(v, row)
-	if !cand.have || s < cand.score || (s == cand.score && id < cand.t.ID) {
-		cand.t, cand.score, cand.have = v.Tuple(row), s, true
 	}
 }
 

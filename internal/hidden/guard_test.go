@@ -214,6 +214,40 @@ func TestGuardHedging(t *testing.T) {
 	}
 }
 
+// TestGuardHedgeStragglerOwnsItsQuery: the losing leg of a hedged probe
+// outlives the caller, and the caller may rebuild its query in place as
+// soon as TopK returns (MD resolvers reuse one scratch probe query per
+// slot). The straggler must still read the query as issued, and must never
+// race the caller's writes — run under -race.
+func TestGuardHedgeStragglerOwnsItsQuery(t *testing.T) {
+	inner := &funcDB{schema: schema1(), k: 5}
+	release := make(chan struct{})
+	seen := make(chan string, 1)
+	inner.fn = func(call int64, q query.Query) (Result, error) {
+		if call == 1 {
+			<-release // the primary stalls past the hedge and past the caller
+			seen <- q.String()
+		}
+		return okResult(), nil
+	}
+	now := time.Unix(1000, 0)
+	g := NewGuard(inner, guardTestOpts(GuardOptions{HedgeAfter: time.Millisecond}, &now, nil))
+
+	q := query.New().WithRange(0, types.ClosedInterval(10, 20))
+	want := q.String()
+	if _, err := g.TopK(q); err != nil {
+		t.Fatalf("hedged probe failed: %v", err)
+	}
+	// The hedge answered and the primary is still in flight. Rebuild the
+	// query before the straggler reads it, then keep writing while it does.
+	q.AddRange(0, types.ClosedInterval(15, 30))
+	close(release)
+	q.AddRange(1, types.ClosedInterval(0, 1))
+	if got := <-seen; got != want {
+		t.Fatalf("straggler read %q, want the query as issued %q", got, want)
+	}
+}
+
 func TestGuardRateLimitPassThrough(t *testing.T) {
 	inner := &funcDB{schema: schema1(), k: 5}
 	inner.fn = func(int64, query.Query) (Result, error) {

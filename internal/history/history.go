@@ -10,8 +10,9 @@
 // large allocations instead of a million row structs each carrying its own
 // Ord slice and Cat map. The row-struct types.Tuple stays the API type,
 // materialized from the columns only when a lookup actually returns a row;
-// ScanMatching exposes the raw view for consumers that can score rows
-// without materializing at all.
+// ScanFrom exposes the raw view for consumers that can score rows without
+// materializing at all, and resumes from a row watermark so a consumer that
+// keeps its own index reads each appended row once.
 //
 // # Sharded incremental indexes
 //
@@ -314,23 +315,27 @@ func (s *Store) ForEachMatching(q query.Query, fn func(types.Tuple) bool) {
 	matcherPool.Put(m)
 }
 
-// ScanMatching is ForEachMatching without materialization: fn receives the
-// arena view and a row number and reads attribute values straight from the
-// columns — the zero-alloc hot path for scoring scans (MD frontier seeding).
-// The same snapshot and re-entrancy rules apply.
-func (s *Store) ScanMatching(q query.Query, fn func(v colstore.View, row int) bool) {
+// ScanFrom is ForEachMatching without materialization, starting at arena row
+// from: fn receives the arena view and a row number and reads attribute
+// values straight from the columns. It returns the snapshot length it read
+// up to. Rows below that mark never change (the arena is append-only), so
+// passing it back as the next from visits every matching row exactly once:
+// the incremental scan behind MD history seeding. The same snapshot and
+// re-entrancy rules as ForEachMatching apply.
+func (s *Store) ScanFrom(q query.Query, from int, fn func(v colstore.View, row int)) int {
 	v := s.arena.View()
+	if from >= v.Len() {
+		return v.Len()
+	}
 	m := matcherPool.Get().(*colstore.Matcher)
 	m.Reset(v, q)
-	for row := 0; row < v.Len(); row++ {
-		if !m.Match(row) {
-			continue
-		}
-		if !fn(v, row) {
-			break
+	for row := from; row < v.Len(); row++ {
+		if m.Match(row) {
+			fn(v, row)
 		}
 	}
 	matcherPool.Put(m)
+	return v.Len()
 }
 
 // CountMatching returns the number of stored tuples matching q.
