@@ -26,16 +26,14 @@
 // namespaces (excess gets 429 + Retry-After), -client-budget/
 // -client-budget-window meter upstream queries per X-Client-ID, and
 // SIGTERM/SIGINT triggers a graceful drain — admission stops (healthz flips
-// to 503), in-flight requests finish within -drain-timeout, and with -state
-// set the default namespace's knowledge is snapshotted so the next start is
-// warm. See docs/operations.md and docs/api.md.
+// to 503), in-flight requests finish within -drain-timeout, and with
+// -data-dir set a final checkpoint commits every namespace's knowledge so
+// the next start is warm. See docs/operations.md and docs/api.md.
 //
-// Crash safety: -data-dir enables segment/journal persistence — every
+// Persistence: -data-dir enables segment/journal persistence — every
 // namespace checkpoints incrementally into its own data-dir/<name>/ store
 // every -checkpoint-interval while serving, so even a kill -9 restarts warm
-// up to the last committed checkpoint. The -state snapshot remains as a
-// portable export/import of the default namespace on top; see
-// docs/persistence.md.
+// up to the last committed checkpoint; see docs/persistence.md.
 package main
 
 import (
@@ -53,7 +51,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/segment"
 	"repro/internal/service"
 )
 
@@ -100,8 +97,7 @@ func main() {
 		seed         = flag.Int64("seed", 160205100, "generator seed for the in-process dataset")
 		sizeHint     = flag.Int("size-hint", 0, "upstream size estimate for dense-index thresholds (0 = n)")
 		addr         = flag.String("addr", ":8080", "listen address")
-		state        = flag.String("state", "", "snapshot file for the default namespace: loaded at startup, saved after the SIGINT/SIGTERM drain")
-		dataDir      = flag.String("data-dir", "", "segment/journal persistence directory: each namespace replays and checkpoints its own <dir>/<name>/ store (crash-safe, unlike -state)")
+		dataDir      = flag.String("data-dir", "", "segment/journal persistence directory: each namespace replays and checkpoints its own <dir>/<name>/ store, and the SIGINT/SIGTERM drain takes a final checkpoint")
 		ckptInterval = flag.Duration("checkpoint-interval", 15*time.Second, "background checkpoint period for -data-dir (0 = checkpoint only at drain)")
 		cache        = flag.Int("probe-cache", 0, "probe-result LRU entries per namespace (0 = default 1024, negative disables the cache)")
 		noCoal       = flag.Bool("no-coalesce", false, "disable probe coalescing (for upstreams whose corpus changes mid-run)")
@@ -211,10 +207,7 @@ func main() {
 	if *hedgeAfter > 0 {
 		log.Printf("rerankd: hedged remote probes after %s", *hedgeAfter)
 	}
-	// Persistence boot order: replay each namespace's committed knowledge
-	// first, then import the -state snapshot on top. A snapshot loaded after
-	// AttachPersistence flows through the recording hooks, so its contents
-	// are committed to the data dir by the next checkpoint.
+	// Replay each namespace's committed knowledge before serving.
 	if *dataDir != "" {
 		if err := srv.OpenDataDir(*dataDir, service.PersistConfig{
 			CheckpointInterval: *ckptInterval,
@@ -229,19 +222,6 @@ func main() {
 				*dataDir, ps.Store.ReplayedDeltas, st.HistoryTuples, st.ProbeCacheEntries, st.MDDenseRegions, *ckptInterval)
 		} else {
 			log.Printf("rerankd: data dir %s opened cold (checkpoint interval %s)", *dataDir, *ckptInterval)
-		}
-	}
-	if *state != "" {
-		warm, err := srv.LoadStateFile(*state, func(format string, args ...any) {
-			log.Printf("rerankd: "+format, args...)
-		})
-		if err != nil {
-			log.Fatalf("rerankd: load state: %v", err)
-		}
-		if warm {
-			st := srv.Stats()
-			log.Printf("rerankd: warm start from %s (%d history tuples, %d cached probe answers, %d MD dense regions)",
-				*state, st.HistoryTuples, st.ProbeCacheEntries, st.MDDenseRegions)
 		}
 	}
 
@@ -260,7 +240,7 @@ func main() {
 
 	// Graceful drain: on SIGTERM/SIGINT stop admitting (healthz goes 503 so
 	// load balancers deregister), let in-flight requests finish, then
-	// snapshot the engine's knowledge so the restart is warm.
+	// checkpoint the engines' knowledge so the restart is warm.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	serveErr := make(chan error, 1)
@@ -296,23 +276,6 @@ func main() {
 				*dataDir, ps.Store.Checkpoints, ps.Store.Seq)
 		}
 	}
-	if *state != "" {
-		if err := saveState(srv, *state); err != nil {
-			log.Fatalf("rerankd: save state: %v", err)
-		}
-		st := srv.Stats()
-		log.Printf("rerankd: state saved to %s (%d history tuples, %d cached probe answers, %d MD dense regions in %d grid buckets)",
-			*state, st.HistoryTuples, st.ProbeCacheEntries, st.MDDenseRegions, st.DenseMDBuckets)
-	}
 	log.Printf("rerankd: drained %d single / %d batch / %d stream requests served; bye",
 		srv.Stats().Requests, srv.Stats().BatchRequests, srv.Stats().StreamRequests)
-}
-
-// saveState writes the snapshot atomically AND durably: temp file + fsync +
-// rename + parent-dir fsync, so a crash mid-save never clobbers the previous
-// good snapshot and a crash right after the save never loses the new one.
-func saveState(srv *service.Server, path string) error {
-	return segment.WriteFileAtomic(path, func(f *os.File) error {
-		return srv.SaveState(f)
-	})
 }

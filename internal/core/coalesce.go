@@ -278,8 +278,8 @@ func (p *probeCache) put(key string, res hidden.Result, epoch int64) {
 
 // probeEntry is one exported probe-LRU entry: a canonical query key, its
 // complete (valid/underflow) answer, and the knowledge epoch the answer was
-// learned under. Snapshots persist these so a restarted service stays warm
-// at the probe level, not just the tuple level.
+// learned under. Snapshot exports persist these so a restarted service
+// stays warm at the probe level, not just the tuple level.
 type probeEntry struct {
 	Key   string
 	Res   hidden.Result
@@ -347,22 +347,9 @@ func (c *coalescer) export() []probeEntry {
 	return c.cache.export()
 }
 
-// restore seeds one complete answer into the LRU (snapshot warm-restart)
-// at the epoch it was learned under, recording it for persistence like a
-// freshly cached answer: a snapshot imported with -state must survive the
-// next restart through the segment store, not just this process's lifetime.
-// A no-op when coalescing is disabled, the cache is off, or the result is
-// not complete.
-func (c *coalescer) restore(key string, res hidden.Result, epoch int64) {
-	if c.disabled {
-		return
-	}
-	c.cache.put(key, res, epoch)
-	c.recordPut(key, res, epoch)
-}
-
-// seed is restore without the persistence record — the segment-replay path,
-// where the answer being inserted is already committed on disk.
+// seed inserts one complete answer into the LRU at the epoch it was learned
+// under, without a persistence record — the replay path (applyDelta), where
+// the answer is already committed. A no-op when coalescing is disabled.
 func (c *coalescer) seed(key string, res hidden.Result, epoch int64) {
 	if c.disabled {
 		return

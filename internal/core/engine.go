@@ -198,8 +198,9 @@ func (e *Engine) DenseIndex1D() *index.Dense1D { return e.know.dense1 }
 
 // ProbeCacheEntries returns the number of complete probe answers currently
 // held by the coalescing layer's LRU (0 when coalescing or the cache is
-// disabled). Snapshots persist these entries, so after a warm restart this
-// reports how many probes the engine can answer for zero upstream cost.
+// disabled). The data dir and snapshot exports persist these entries, so
+// after a warm restart this reports how many probes the engine can answer
+// for zero upstream cost.
 func (e *Engine) ProbeCacheEntries() int { return e.probes.cacheSize() }
 
 // ProbeCacheBytes approximates the resident bytes of columnar-encoded probe
@@ -250,9 +251,9 @@ func (e *Engine) RevalidationStats() (promoted, evicted int64) {
 }
 
 // MDDenseRegions returns the total number of crawled MD dense regions across
-// all ranked-attribute subsets. Snapshots (v3+) persist these regions, so
-// after a warm restart this reports how many boxes MD-RERANK can answer
-// locally for zero upstream cost.
+// all ranked-attribute subsets. The data dir and snapshot exports persist
+// these regions, so after a warm restart this reports how many boxes
+// MD-RERANK can answer locally for zero upstream cost.
 func (e *Engine) MDDenseRegions() int { return e.know.MDRegions() }
 
 // MDBucketStats aggregates the MD dense indexes' centroid-grid shape across

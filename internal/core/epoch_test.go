@@ -585,7 +585,7 @@ func TestEpochPersistsAcrossJournalReplay(t *testing.T) {
 	}
 }
 
-// TestEpochPersistsAcrossSnapshot: the v5 snapshot round-trips the epoch and
+// TestEpochPersistsAcrossSnapshot: a snapshot export round-trips the epoch and
 // per-entry epochs.
 func TestEpochPersistsAcrossSnapshot(t *testing.T) {
 	db, tuples, e1 := persistTestWorld(t, 83)

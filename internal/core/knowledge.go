@@ -165,18 +165,13 @@ func (k *Knowledge) mdIndexFor(attrs []int) *index.DenseMD {
 }
 
 // InsertDense1 inserts a fully-crawled 1D dense region into the shared index
-// and records the insert for incremental persistence. All region inserts —
-// live crawls and snapshot restores alike — must go through this wrapper
-// rather than the index directly, so no committed knowledge is invisible to
-// the next checkpoint.
+// at the current epoch and records the insert for incremental persistence.
+// Every live crawl must go through this wrapper rather than the index
+// directly, so no acquired knowledge is invisible to the next checkpoint;
+// only replay (applyDelta), whose input is already committed, inserts into
+// the index directly.
 func (k *Knowledge) InsertDense1(attr int, iv types.Interval, tuples []types.Tuple) {
-	k.insertDense1Epoch(attr, iv, tuples, k.Epoch())
-}
-
-// insertDense1Epoch is InsertDense1 at an explicit epoch (snapshot restore
-// inserts regions at the epoch they were persisted under, not the current
-// one).
-func (k *Knowledge) insertDense1Epoch(attr int, iv types.Interval, tuples []types.Tuple, epoch int64) {
+	epoch := k.Epoch()
 	k.dense1.InsertEpoch(attr, iv, tuples, epoch)
 	if p := k.persist.Load(); p != nil {
 		p.recordDense1(attr, iv, tuples, epoch)
@@ -188,12 +183,7 @@ func (k *Knowledge) insertDense1Epoch(attr int, iv types.Interval, tuples []type
 // incremental persistence. See InsertDense1 for why inserts must route
 // through this wrapper.
 func (k *Knowledge) InsertDenseMD(attrs []int, box query.Box, tuples []types.Tuple) {
-	k.insertDenseMDEpoch(attrs, box, tuples, k.Epoch())
-}
-
-// insertDenseMDEpoch is InsertDenseMD at an explicit epoch (snapshot
-// restore).
-func (k *Knowledge) insertDenseMDEpoch(attrs []int, box query.Box, tuples []types.Tuple, epoch int64) {
+	epoch := k.Epoch()
 	sorted := append([]int(nil), attrs...)
 	sort.Ints(sorted)
 	k.mdIndexFor(sorted).InsertEpoch(box, tuples, epoch)

@@ -3,10 +3,10 @@
 // A Persister turns the engine's accumulated knowledge into a stream of
 // checkpoint deltas (segment.Delta) committed through a segment.Store, and
 // replays a store's committed deltas back into a fresh engine at startup.
-// Unlike SaveSnapshot — which rewrites ALL knowledge at drain time — a
-// checkpoint commits only what changed since the previous one, so it runs
+// A checkpoint commits only what changed since the previous one, so it runs
 // concurrently with serving and a crash loses at most one checkpoint
-// interval of knowledge.
+// interval of knowledge. SaveSnapshot exports the same codec: one delta
+// holding all knowledge.
 //
 // # What a delta contains, and how it stays cheap
 //
@@ -16,8 +16,7 @@
 // region inserts and probe-cache admissions are recorded as logical
 // operations (attribute/box/key plus tuple IDs) by thin wrappers on the live
 // insert paths; replay pushes them back through those same live paths, so a
-// rebuilt engine's index structures are bit-identical to the saved engine's
-// — the same property the snapshot loader asserts.
+// rebuilt engine's index structures are bit-identical to the saved engine's.
 //
 // Operations reference tuples by ID. A referenced tuple is normally covered
 // by the committed history prefix (sessions add probe pages to history
@@ -99,22 +98,23 @@ type pendingOp struct {
 }
 
 // PersistFingerprint identifies this engine's upstream deployment for the
-// segment store — the same identity the snapshot format guards probe and
-// dense-region restores with.
+// segment store and for snapshot import.
 func (e *Engine) PersistFingerprint() segment.Fingerprint {
+	ranker := ""
+	if hdb, ok := e.db.(*hidden.DB); ok { // remote upstreams don't expose it
+		ranker = hdb.RankerName()
+	}
 	return segment.Fingerprint{
 		Schema:         e.db.Schema().Names(),
 		UpstreamK:      e.db.K(),
-		UpstreamRanker: upstreamRankerName(e.db),
+		UpstreamRanker: ranker,
 	}
 }
 
 // AttachPersistence replays the store's committed knowledge into the engine,
 // then installs the recording hooks and (when opts.Interval > 0) starts the
-// background checkpoint loop. Attach before loading any -state snapshot:
-// replay must see the engine exactly as the recorded operations left it, and
-// a snapshot loaded afterwards flows through the recording hooks so its
-// knowledge is persisted too.
+// background checkpoint loop. Replay must see the engine exactly as the
+// recorded operations left it, so attach to a fresh engine.
 //
 // The returned Persister owns the store: Close checkpoints once more and
 // closes it. At most one Persister may be attached to an engine.
@@ -146,21 +146,39 @@ func (e *Engine) AttachPersistence(store *segment.Store, opts PersistOptions) (*
 func (e *Engine) Persister() *Persister { return e.know.persist.Load() }
 
 // applyDelta replays one committed delta through the engine's live insert
-// paths. Tuple IDs resolve from the delta itself (its Hist range and inline
-// Tuples) or from history committed by earlier deltas; an unresolvable ID
-// means the store's invariants are broken and the error makes Replay
-// quarantine from this record on.
+// paths. It is the one loader: data-dir replay and snapshot import both use
+// it. The delta is validated in full before anything is applied: every
+// tuple must match the schema's arity, every region must lie on valid
+// attributes, and every tuple ID must resolve from the delta itself (its
+// Hist range and inline Tuples) or from history committed by earlier
+// deltas. An error leaves the engine untouched and makes Replay quarantine
+// from this record on.
 func (e *Engine) applyDelta(d *segment.Delta) error {
-	byID := make(map[int]types.Tuple, len(d.Hist)+len(d.Tuples))
-	for _, st := range append(append([]segment.Tuple(nil), d.Hist...), d.Tuples...) {
-		byID[st.ID] = types.Tuple{ID: st.ID, Ord: st.Ord, Cat: st.Cat}
+	if d == nil {
+		return fmt.Errorf("core: null delta")
 	}
-	if len(d.Hist) > 0 {
-		batch := make([]types.Tuple, 0, len(d.Hist))
-		for _, st := range d.Hist {
-			batch = append(batch, byID[st.ID])
+	width := e.db.Schema().Len()
+	byID := make(map[int]types.Tuple, len(d.Hist)+len(d.Tuples))
+	decode := func(st segment.Tuple) (types.Tuple, error) {
+		if len(st.Ord) != width {
+			return types.Tuple{}, fmt.Errorf("core: delta tuple %d has %d values, want %d", st.ID, len(st.Ord), width)
 		}
-		e.know.hist.Add(batch...)
+		t := types.Tuple{ID: st.ID, Ord: st.Ord, Cat: st.Cat}
+		byID[st.ID] = t
+		return t, nil
+	}
+	hist := make([]types.Tuple, 0, len(d.Hist))
+	for _, st := range d.Hist {
+		t, err := decode(st)
+		if err != nil {
+			return err
+		}
+		hist = append(hist, t)
+	}
+	for _, st := range d.Tuples {
+		if _, err := decode(st); err != nil {
+			return err
+		}
 	}
 	resolve := func(ids []int) ([]types.Tuple, error) {
 		tuples := make([]types.Tuple, 0, len(ids))
@@ -175,45 +193,67 @@ func (e *Engine) applyDelta(d *segment.Delta) error {
 		}
 		return tuples, nil
 	}
+	var err error
+	dense1 := make([][]types.Tuple, len(d.Dense1))
+	for i, op := range d.Dense1 {
+		if op.Attr < 0 || op.Attr >= width {
+			return fmt.Errorf("core: delta dense region on invalid attribute %d", op.Attr)
+		}
+		if dense1[i], err = resolve(op.IDs); err != nil {
+			return err
+		}
+	}
+	denseMD := make([][]types.Tuple, len(d.DenseMD))
+	for i, op := range d.DenseMD {
+		if len(op.Attrs) == 0 || len(op.Dims) != len(op.Attrs) {
+			return fmt.Errorf("core: delta MD region has %d dims for %d attributes", len(op.Dims), len(op.Attrs))
+		}
+		for j, a := range op.Attrs {
+			if a < 0 || a >= width {
+				return fmt.Errorf("core: delta MD region on invalid attribute %d", a)
+			}
+			if j > 0 && op.Attrs[j-1] >= a {
+				return fmt.Errorf("core: delta MD region attributes %v not strictly ascending", op.Attrs)
+			}
+		}
+		if denseMD[i], err = resolve(op.IDs); err != nil {
+			return err
+		}
+	}
+	probes := make([][]types.Tuple, len(d.Probes))
+	for i, op := range d.Probes {
+		if probes[i], err = resolve(op.IDs); err != nil {
+			return err
+		}
+	}
+
+	if len(hist) > 0 {
+		e.know.hist.Add(hist...)
+	}
 	// Restore the epoch before region inserts so that any region this delta
 	// carries at the (now current) epoch reads as fresh, not stale.
 	if d.Epoch > 0 {
 		e.know.restoreEpoch(d.Epoch)
 	}
-	for _, op := range d.Dense1 {
-		tuples, err := resolve(op.IDs)
-		if err != nil {
-			return err
-		}
-		e.know.dense1.InsertEpoch(op.Attr, coreInterval(op.Dim), tuples, epochOrFirst(op.Epoch))
+	for i, op := range d.Dense1 {
+		e.know.dense1.InsertEpoch(op.Attr, coreInterval(op.Dim), dense1[i], epochOrFirst(op.Epoch))
 	}
-	for _, op := range d.DenseMD {
-		if len(op.Attrs) == 0 || len(op.Dims) != len(op.Attrs) {
-			return fmt.Errorf("core: delta MD region has %d dims for %d attributes", len(op.Dims), len(op.Attrs))
-		}
-		tuples, err := resolve(op.IDs)
-		if err != nil {
-			return err
-		}
+	for i, op := range d.DenseMD {
 		box := query.Box{Dims: make([]types.Interval, len(op.Dims))}
-		for i, dim := range op.Dims {
-			box.Dims[i] = coreInterval(dim)
+		for j, dim := range op.Dims {
+			box.Dims[j] = coreInterval(dim)
 		}
-		e.know.mdIndexFor(op.Attrs).InsertEpoch(box, tuples, epochOrFirst(op.Epoch))
+		e.know.mdIndexFor(op.Attrs).InsertEpoch(box, denseMD[i], epochOrFirst(op.Epoch))
 	}
-	for _, op := range d.Probes {
-		tuples, err := resolve(op.IDs)
-		if err != nil {
-			return err
-		}
-		e.probes.seed(op.Key, hidden.Result{Tuples: tuples}, epochOrFirst(op.Epoch))
+	for i, op := range d.Probes {
+		e.probes.seed(op.Key, hidden.Result{Tuples: probes[i]}, epochOrFirst(op.Epoch))
 	}
 	// Heat is last-wins across deltas and Import is idempotent, so replaying
 	// a committed prefix (or the same delta twice after a retry) converges.
 	e.know.heat.Import(d.Heat)
 	// d.Queries is informational (lifetime counter at capture time) and not
-	// restored, matching LoadSnapshot: a restarted engine's counter measures
-	// cost paid by THIS process.
+	// restored: a restarted engine's counter measures cost paid by THIS
+	// process.
 	return nil
 }
 
@@ -267,7 +307,7 @@ func (p *Persister) Checkpoint() error {
 	// references that reached history before the op was recorded is below
 	// this histHi, so it commits by reference in this very delta.
 	histHi := p.e.know.hist.Rows()
-	d := p.buildDelta(histLo, histHi, ops)
+	d := p.e.buildDelta(histLo, histHi, ops)
 	// Heat rides the delta only when observations advanced since the last
 	// committed capture, so an idle engine stays checkpoint-quiet. The
 	// observation count is read BEFORE the export: observations arriving in
@@ -296,12 +336,12 @@ func (p *Persister) Checkpoint() error {
 	return nil
 }
 
-// buildDelta assembles one checkpoint delta: the new history row range plus
-// the captured operations, inlining payloads for any referenced tuple not
-// covered by the committed history prefix.
-func (p *Persister) buildDelta(histLo, histHi int, ops []pendingOp) *segment.Delta {
-	d := &segment.Delta{HistLo: histLo, HistHi: histHi, Queries: p.e.know.queries.Load()}
-	hist := p.e.know.hist
+// buildDelta assembles one delta — a checkpoint's or a snapshot's: the
+// history row range [histLo, histHi) plus the captured operations, inlining
+// payloads for any referenced tuple not covered by history below histHi.
+func (e *Engine) buildDelta(histLo, histHi int, ops []pendingOp) *segment.Delta {
+	d := &segment.Delta{HistLo: histLo, HistHi: histHi, Queries: e.know.queries.Load()}
+	hist := e.know.hist
 	for _, t := range hist.ExportRows(histLo, histHi) {
 		d.Hist = append(d.Hist, segTuple(t))
 	}

@@ -1,377 +1,68 @@
-// Engine state persistence.
+// Knowledge export and import.
 //
-// The whole value of the reranking service compounds over time: every
-// upstream answer lands in the history store and every crawled dense region
-// in the on-the-fly indexes. Real deployments restart; losing that state
-// means re-spending rate-limited upstream queries. Snapshot serializes the
-// engine's accumulated knowledge — history tuples, 1D dense regions, MD
-// dense regions, and the probe-coalescing LRU's complete answers — to JSON
-// so a service restarts warm at the tuple, region, and probe level: an
-// MD-RERANK session over a previously-crawled dense region costs a restarted
-// service zero upstream queries.
-//
-// Snapshots may be taken while sessions are running: the knowledge layer is
-// internally guarded, and SaveSnapshot captures the dense regions and probe
-// entries before the history dump, so every tuple a region references is
-// guaranteed to be in the (monotonically growing) tuple list. Tuples
-// referenced by a region but absent from history (possible under
-// DisableHistory) are appended explicitly.
-//
-// # Format versions
-//
-// Version 1 (PR 1): queries counter, history tuples, 1D dense regions.
-//
-// Version 2 (PR 2) adds "probes": the probe-coalescing LRU's complete
-// (valid/underflow) answers, keyed by canonical query string and referencing
-// tuples by ID in upstream rank order, so a restarted service answers a
-// repeated probe for zero upstream queries. It also adds the upstream
-// fingerprint (system-k and system-ranker name) guarding their restore.
-//
-// Version 3 (PR 3) adds "denseMD": the crawled MD dense regions, one entry
-// per (attribute subset, box) with the region bounds, the crawled tuples'
-// IDs, and a completion marker. Previously MD regions were discarded on
-// restart and re-crawled from upstream on demand — exactly the amortized
-// knowledge the system exists to accumulate. Version 3 also brings the 1D
-// dense regions under the fingerprint gate that v2 introduced for probes:
-// dense regions (1D and MD) and probes restore only when the upstream
-// fingerprint matches, because a region's authority ("these are ALL the
-// corpus tuples in this range") assumes the same corpus, and a visibly
-// different upstream (different k or system ranker) is evidence the
-// deployment changed. History tuples are restored either way — an observed
-// tuple is a corpus fact under the Database contract.
-//
-// Version 4 (PR 9) adds "heat": the request-window heat sketch feeding the
-// background knowledge acquirer (internal/acquire), so proactive
-// acquisition resumes where it left off after a restart. Heat is demand
-// statistics — facts about what users asked, not about the corpus — so it
-// restores without the fingerprint gate, like history.
-//
-// Version 5 (PR 10) adds knowledge epochs: the namespace's current epoch
-// ("epoch" on the snapshot) and each dense region's / cached probe's
-// acquisition epoch. A restored engine knows which of its knowledge is
-// current and which predates the last detected upstream drift and must be
-// lazily re-validated before answering. Absent epochs (older formats) load
-// as the first epoch. (The ISSUE text calls this the "v4 bump"; v4 was
-// already taken by heat, so epochs land in v5.)
-//
-// Older versions always load: a vN engine reading a v(N-1) snapshot restores
-// every section the older format carries and leaves the rest cold. Snapshots
-// are written at the current version unconditionally.
-//
-// Snapshots persist dense regions as plain (bounds, tuple IDs) records; the
-// sub-linear lookup structures around them — the 1D sorted region arrays
-// and the MD centroid-grid buckets — are not serialized. LoadSnapshot
-// replays every region through the live Insert path, which rebuilds both
-// incrementally, so a restored engine's indexes are bit-identical to the
-// saved engine's (asserted by TestSnapshotRebuildsDenseStructures).
+// A snapshot is one segment file (package segment) holding a single full
+// delta: every history row, every dense region (1D and MD) and every cached
+// probe answer, plus the heat sketch and the knowledge epoch. It is the
+// codec the data dir's journal and segments already use, so an export is a
+// compacted segment and a segment file from a data dir imports as-is.
+// Import replays through applyDelta, the same loader crash recovery uses,
+// which rebuilds the sub-linear lookup structures (1D sorted region arrays,
+// MD centroid-grid buckets) through the live insert paths, so a restored
+// engine's indexes match the saved engine's (asserted by
+// TestSnapshotRebuildsDenseStructures).
 
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
-	"repro/internal/acquire"
-	"repro/internal/hidden"
-	"repro/internal/index"
-	"repro/internal/query"
-	"repro/internal/types"
+	"repro/internal/segment"
 )
 
-// snapshotVersion is the version written by SaveSnapshot; LoadSnapshot
-// accepts any version from snapshotVersionMin up to it.
-const (
-	snapshotVersionMin = 1
-	snapshotVersion    = 5
-)
-
-// Snapshot is the serialized engine state.
-type Snapshot struct {
-	Version int            `json:"version"`
-	Queries int64          `json:"queries"`
-	Tuples  []snapTuple    `json:"tuples"`
-	Dense1D []snapInterval `json:"dense1d"`
-	// DenseMD holds the crawled MD dense regions (v3+; absent before).
-	// Restored only under a matching upstream fingerprint, like Probes.
-	DenseMD []snapMDRegion `json:"denseMD,omitempty"`
-	// Probes holds the probe-coalescing LRU's complete answers, least
-	// recently used first (v2+; absent in v1 snapshots).
-	Probes []snapProbe `json:"probes,omitempty"`
-	// UpstreamK and UpstreamRanker fingerprint the upstream that produced
-	// the cached probe answers (v2+). Cached answers replay upstream
-	// responses verbatim, so LoadSnapshot drops the probe section — never
-	// the history — when the fingerprint visibly differs; history tuples
-	// are corpus facts either way, but probe answers also encode the
-	// upstream's ranking behavior.
-	UpstreamK      int      `json:"upstreamK,omitempty"`
-	UpstreamRanker string   `json:"upstreamRanker,omitempty"`
-	Schema         []string `json:"schema"` // attribute names, for validation
-	// Heat is the request-window heat sketch (v4+; absent before, and
-	// omitted when no heat is live). Restored without the fingerprint
-	// gate: it describes user demand, not the corpus.
-	Heat *acquire.HeatExport `json:"heat,omitempty"`
-	// Epoch is the namespace's knowledge epoch at save time (v5+; absent
-	// loads as the first epoch).
-	Epoch int64 `json:"epoch,omitempty"`
-}
-
-type snapTuple struct {
-	ID  int               `json:"id"`
-	Ord []float64         `json:"ord"`
-	Cat map[string]string `json:"cat,omitempty"`
-}
-
-// snapProbe is one cached complete probe answer: the canonical query key and
-// the answered tuple IDs in upstream rank order. Only complete answers are
-// ever cached, so no overflow flag is needed.
-type snapProbe struct {
-	Key   string `json:"key"`
-	IDs   []int  `json:"ids"`             // payloads live in Tuples
-	Epoch int64  `json:"epoch,omitempty"` // acquisition epoch (v5+)
-}
-
-type snapInterval struct {
-	Attr   int     `json:"attr"`
-	Lo     float64 `json:"lo"`
-	Hi     float64 `json:"hi"`
-	LoOpen bool    `json:"loOpen"`
-	HiOpen bool    `json:"hiOpen"`
-	IDs    []int   `json:"ids"`             // tuple IDs; payloads live in Tuples
-	Epoch  int64   `json:"epoch,omitempty"` // acquisition epoch (v5+)
-}
-
-// snapDim is one side of an MD region's box in real-value space.
-type snapDim struct {
-	Lo     float64 `json:"lo"`
-	Hi     float64 `json:"hi"`
-	LoOpen bool    `json:"loOpen,omitempty"`
-	HiOpen bool    `json:"hiOpen,omitempty"`
-}
-
-// snapMDRegion is one fully-crawled MD dense region (v3+): the canonical
-// sorted attribute subset it indexes under, the region's box (one dimension
-// per attribute, same order), and the crawled tuples' IDs. Complete marks
-// the crawl as finished — only complete regions are authoritative, and
-// LoadSnapshot skips any region not marked so (a forward-compatibility hook
-// for partially-persisted crawls).
-type snapMDRegion struct {
-	Attrs    []int     `json:"attrs"`
-	Dims     []snapDim `json:"dims"`
-	IDs      []int     `json:"ids"` // payloads live in Tuples
-	Complete bool      `json:"complete"`
-	Epoch    int64     `json:"epoch,omitempty"` // acquisition epoch (v5+)
-}
-
-// SaveSnapshot writes the engine's accumulated knowledge to w. It is safe
-// to call while sessions are running concurrently.
+// SaveSnapshot writes the engine's accumulated knowledge to w as one
+// segment file. It is safe to call while sessions are running concurrently.
 func (e *Engine) SaveSnapshot(w io.Writer) error {
-	snap := Snapshot{
-		Version:        snapshotVersion,
-		Queries:        e.know.queries.Load(),
-		Schema:         e.db.Schema().Names(),
-		UpstreamK:      e.db.K(),
-		UpstreamRanker: upstreamRankerName(e.db),
-		Heat:           e.know.heat.Export(),
-		Epoch:          e.know.Epoch(),
-	}
-	// Dense regions and probe-cache entries first: history only grows, so
-	// capturing them before the tuple dump keeps most ID references
-	// resolvable even when other sessions insert concurrently; the few
-	// referenced tuples still missing from history (possible under
-	// DisableHistory, or for a probe cached just before its leader's
-	// history insert) are appended explicitly below.
-	var regions [][]index.Interval1D
-	attrs := e.db.Schema().OrdinalIndexes()
-	for _, attr := range attrs {
-		regions = append(regions, e.know.dense1.Export(attr))
-	}
-	mdExports := e.know.exportMD()
-	probes := e.probes.export()
-	seen := make(map[int]bool)
-	addTuple := func(t types.Tuple) {
-		if !seen[t.ID] {
-			seen[t.ID] = true
-			snap.Tuples = append(snap.Tuples, snapTuple{ID: t.ID, Ord: t.Ord, Cat: t.Cat})
+	// Regions and cached probes are captured before the history watermark
+	// is read: history only grows, so a tuple they reference that reached
+	// history first commits by reference, and any other (DisableHistory, or
+	// a probe cached just before its leader's history insert) is inlined.
+	var ops []pendingOp
+	for _, attr := range e.db.Schema().OrdinalIndexes() {
+		for _, reg := range e.know.dense1.Export(attr) {
+			ops = append(ops, pendingOp{kind: opDense1, attr: attr, iv: reg.Range, tuples: reg.Tuples, epoch: reg.Epoch})
 		}
 	}
-	e.know.hist.ForEachMatching(query.New(), func(t types.Tuple) bool {
-		addTuple(t)
-		return true
-	})
-	for _, pe := range probes {
-		sp := snapProbe{Key: pe.Key, Epoch: pe.Epoch, IDs: make([]int, 0, len(pe.Res.Tuples))}
-		for _, t := range pe.Res.Tuples {
-			sp.IDs = append(sp.IDs, t.ID)
-			addTuple(t)
-		}
-		snap.Probes = append(snap.Probes, sp)
-	}
-	for i, attr := range attrs {
-		for _, reg := range regions[i] {
-			si := snapInterval{
-				Attr: attr,
-				Lo:   reg.Range.Lo, Hi: reg.Range.Hi,
-				LoOpen: reg.Range.LoOpen, HiOpen: reg.Range.HiOpen,
-				Epoch: reg.Epoch,
-			}
-			for _, t := range reg.Tuples {
-				si.IDs = append(si.IDs, t.ID)
-				addTuple(t)
-			}
-			snap.Dense1D = append(snap.Dense1D, si)
-		}
-	}
-	for _, ex := range mdExports {
+	for _, ex := range e.know.exportMD() {
 		for _, reg := range ex.regions {
-			sr := snapMDRegion{
-				Attrs:    ex.attrs,
-				Dims:     make([]snapDim, len(reg.Box.Dims)),
-				Complete: true, // only fully-crawled regions enter the index
-				Epoch:    reg.Epoch,
-			}
-			for j, iv := range reg.Box.Dims {
-				sr.Dims[j] = snapDim{Lo: iv.Lo, Hi: iv.Hi, LoOpen: iv.LoOpen, HiOpen: iv.HiOpen}
-			}
-			for _, t := range reg.Tuples {
-				sr.IDs = append(sr.IDs, t.ID)
-				addTuple(t)
-			}
-			snap.DenseMD = append(snap.DenseMD, sr)
+			ops = append(ops, pendingOp{kind: opDenseMD, attrs: ex.attrs, box: reg.Box, tuples: reg.Tuples, epoch: reg.Epoch})
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(snap)
+	for _, pe := range e.probes.export() {
+		ops = append(ops, pendingOp{kind: opProbe, key: pe.Key, tuples: pe.Res.Tuples, epoch: pe.Epoch})
+	}
+	d := e.buildDelta(0, e.know.hist.Rows(), ops)
+	d.Heat = e.know.heat.Export()
+	d.Epoch = e.know.Epoch()
+	return segment.WriteSnapshot(w, e.PersistFingerprint(), d)
 }
 
-// LoadSnapshot restores previously saved knowledge into a fresh engine.
-// The snapshot must come from an engine over the same schema. Dense-region
-// tuples that reference IDs missing from the snapshot are rejected.
+// LoadSnapshot imports a segment file written by SaveSnapshot (or sealed
+// by a data dir) into a fresh engine. The file's fingerprint must match
+// this engine's upstream, or nothing loads. An engine with persistence
+// attached refuses the import: its knowledge comes from its data dir.
 func (e *Engine) LoadSnapshot(r io.Reader) error {
-	var snap Snapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("core: decode snapshot: %w", err)
+	if e.Persister() != nil {
+		return fmt.Errorf("core: snapshot import into an engine with persistence attached")
 	}
-	if snap.Version < snapshotVersionMin || snap.Version > snapshotVersion {
-		return fmt.Errorf("core: snapshot version %d, want %d..%d", snap.Version, snapshotVersionMin, snapshotVersion)
+	deltas, err := segment.ReadSnapshot(r, e.PersistFingerprint())
+	if err != nil {
+		return fmt.Errorf("core: import snapshot: %w", err)
 	}
-	names := e.db.Schema().Names()
-	if len(names) != len(snap.Schema) {
-		return fmt.Errorf("core: snapshot schema has %d attributes, database has %d", len(snap.Schema), len(names))
-	}
-	for i := range names {
-		if names[i] != snap.Schema[i] {
-			return fmt.Errorf("core: snapshot schema mismatch at %d: %q vs %q", i, snap.Schema[i], names[i])
+	for _, d := range deltas {
+		if err := e.applyDelta(d); err != nil {
+			return fmt.Errorf("core: import snapshot: %w", err)
 		}
-	}
-	byID := make(map[int]types.Tuple, len(snap.Tuples))
-	batch := make([]types.Tuple, 0, len(snap.Tuples))
-	for _, st := range snap.Tuples {
-		if len(st.Ord) != len(names) {
-			return fmt.Errorf("core: snapshot tuple %d has %d values, want %d", st.ID, len(st.Ord), len(names))
-		}
-		t := types.Tuple{ID: st.ID, Ord: st.Ord, Cat: st.Cat}
-		byID[st.ID] = t
-		batch = append(batch, t)
-	}
-	// One variadic Add: the store batches its per-shard index inserts per
-	// call, so this restores in one pass instead of n lock round-trips.
-	e.know.hist.Add(batch...)
-	// Heat (v4+) restores like history, outside the fingerprint gate: it
-	// records what users asked for, which stays true whatever the upstream
-	// looks like now. Import clamps unknown attributes/cells away.
-	e.know.heat.Import(snap.Heat)
-	// The namespace epoch (v5+) restores forward-only, before the regions
-	// below, so regions persisted at the then-current epoch read as fresh
-	// and older ones as stale — exactly the saved engine's view.
-	if snap.Epoch > 0 {
-		e.know.restoreEpoch(snap.Epoch)
-	}
-	// Everything below — dense regions (1D and MD) and the probe cache —
-	// restores only under a matching upstream fingerprint: cached probe
-	// answers replay one specific upstream's responses verbatim, and a
-	// crawled region's authority ("these are ALL the corpus tuples in this
-	// range") assumes the same corpus — a changed k or system ranker is
-	// evidence the deployment changed, so they stay cold rather than
-	// serving another upstream's state. (An unknown fingerprint side —
-	// zero k or empty ranker name, as in v1 snapshots — skips that
-	// comparison.) History tuples above restore either way: an observed
-	// tuple is a corpus fact.
-	if snap.UpstreamK != 0 && snap.UpstreamK != e.db.K() {
-		return nil
-	}
-	if name := upstreamRankerName(e.db); snap.UpstreamRanker != "" && name != "" && snap.UpstreamRanker != name {
-		return nil
-	}
-	for _, si := range snap.Dense1D {
-		if si.Attr < 0 || si.Attr >= len(names) {
-			return fmt.Errorf("core: snapshot dense region on invalid attribute %d", si.Attr)
-		}
-		tuples := make([]types.Tuple, 0, len(si.IDs))
-		for _, id := range si.IDs {
-			t, ok := byID[id]
-			if !ok {
-				return fmt.Errorf("core: dense region references unknown tuple %d", id)
-			}
-			tuples = append(tuples, t)
-		}
-		e.know.insertDense1Epoch(si.Attr, types.Interval{
-			Lo: si.Lo, Hi: si.Hi, LoOpen: si.LoOpen, HiOpen: si.HiOpen,
-		}, tuples, epochOrFirst(si.Epoch))
-	}
-	// MD dense-region warm restart (v3+). Incomplete regions (a
-	// forward-compatibility hook; never written today) are skipped, not
-	// rejected: they are merely not authoritative.
-	for _, sr := range snap.DenseMD {
-		if !sr.Complete {
-			continue
-		}
-		if len(sr.Attrs) == 0 || len(sr.Dims) != len(sr.Attrs) {
-			return fmt.Errorf("core: snapshot MD region has %d dims for %d attributes", len(sr.Dims), len(sr.Attrs))
-		}
-		for i, a := range sr.Attrs {
-			if a < 0 || a >= len(names) {
-				return fmt.Errorf("core: snapshot MD region on invalid attribute %d", a)
-			}
-			if i > 0 && sr.Attrs[i-1] >= a {
-				return fmt.Errorf("core: snapshot MD region attributes %v not strictly ascending", sr.Attrs)
-			}
-		}
-		box := query.Box{Dims: make([]types.Interval, len(sr.Dims))}
-		for j, d := range sr.Dims {
-			box.Dims[j] = types.Interval{Lo: d.Lo, Hi: d.Hi, LoOpen: d.LoOpen, HiOpen: d.HiOpen}
-		}
-		tuples := make([]types.Tuple, 0, len(sr.IDs))
-		for _, id := range sr.IDs {
-			t, ok := byID[id]
-			if !ok {
-				return fmt.Errorf("core: MD dense region references unknown tuple %d", id)
-			}
-			tuples = append(tuples, t)
-		}
-		e.know.insertDenseMDEpoch(sr.Attrs, box, tuples, epochOrFirst(sr.Epoch))
-	}
-	// Probe-cache warm restart (v2+). Entries are stored least recently
-	// used first, so replaying them in order reproduces the LRU state.
-	for _, sp := range snap.Probes {
-		res := hidden.Result{Tuples: make([]types.Tuple, 0, len(sp.IDs))}
-		for _, id := range sp.IDs {
-			t, ok := byID[id]
-			if !ok {
-				return fmt.Errorf("core: cached probe %q references unknown tuple %d", sp.Key, id)
-			}
-			res.Tuples = append(res.Tuples, t)
-		}
-		e.probes.restore(sp.Key, res, epochOrFirst(sp.Epoch))
 	}
 	return nil
-}
-
-// upstreamRankerName identifies the upstream's system ranking when the
-// database exposes one (in-process hidden.DB); remote upstreams return "".
-func upstreamRankerName(db hidden.Database) string {
-	if hdb, ok := db.(*hidden.DB); ok {
-		return hdb.RankerName()
-	}
-	return ""
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/types"
 )
 
-// TestSnapshotRebuildsDenseStructures checks that a v3 snapshot round-trip
+// TestSnapshotRebuildsDenseStructures checks that a snapshot round-trip
 // reconstructs the sub-linear dense-index structures losslessly: the
 // restored engine's MD region set is bit-identical (boxes and tuple IDs, in
 // order), its centroid grid answers every lookup the original answers, and

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/hidden"
 	"repro/internal/query"
 	"repro/internal/ranking"
+	"repro/internal/segment"
 	"repro/internal/types"
 )
 
@@ -71,8 +74,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotProbeWarmRestart: since snapshot v2, the probe-coalescing LRU
-// survives restarts. A probe answered completely before the snapshot must
+// TestSnapshotProbeWarmRestart: the probe-coalescing LRU survives restarts. A probe answered completely before the snapshot must
 // cost a restarted engine zero upstream queries — warm at the probe level,
 // not just the tuple level.
 func TestSnapshotProbeWarmRestart(t *testing.T) {
@@ -205,9 +207,9 @@ func TestSnapshotSaveUnderLoadStaysWarm(t *testing.T) {
 }
 
 // TestSnapshotProbeFingerprintMismatch: cached probe answers replay one
-// specific upstream's responses, so loading a snapshot against an upstream
-// with a different k or system ranking must drop the probe section (cold
-// cache) while still restoring the history.
+// specific upstream's responses, so importing a snapshot against an
+// upstream with a different k or system ranking must fail as a whole and
+// leave the engine cold.
 func TestSnapshotProbeFingerprintMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	db, tuples := newTestDB(t, rng, 2, 300, 10, false, nil)
@@ -223,29 +225,22 @@ func TestSnapshotProbeFingerprintMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Same schema and corpus, different system-k: probes must not restore.
+	// Same schema and corpus, different system-k: the import fails.
 	dbK := hidden.MustDB(db.Schema(), tuples, hidden.Options{K: 7})
 	eK := NewEngine(dbK, Options{N: 300})
-	if err := eK.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
+	if err := eK.LoadSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Error("k-mismatched import succeeded, want an error")
 	}
-	if eK.ProbeCacheEntries() != 0 {
-		t.Errorf("k-mismatched load restored %d probe entries, want 0", eK.ProbeCacheEntries())
-	}
-	if eK.History().Size() != e1.History().Size() {
-		t.Errorf("k-mismatched load lost history: %d, want %d", eK.History().Size(), e1.History().Size())
-	}
+	assertColdEngine(t, eK)
 
-	// Different system ranking, same k: probes must not restore either.
+	// Different system ranking, same k: the import fails too.
 	sys := hidden.RankerAdapter{R: ranking.NewSingle("other-sys", 1, ranking.Desc)}
 	dbR := hidden.MustDB(db.Schema(), tuples, hidden.Options{K: 10, Ranker: sys})
 	eR := NewEngine(dbR, Options{N: 300})
-	if err := eR.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
+	if err := eR.LoadSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Error("ranker-mismatched import succeeded, want an error")
 	}
-	if eR.ProbeCacheEntries() != 0 {
-		t.Errorf("ranker-mismatched load restored %d probe entries, want 0", eR.ProbeCacheEntries())
-	}
+	assertColdEngine(t, eR)
 
 	// Matching upstream: probes restore.
 	eOK := NewEngine(db, Options{N: 300})
@@ -257,98 +252,160 @@ func TestSnapshotProbeFingerprintMismatch(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1BackCompat: PR-1-format snapshots (version 1, no probes
-// field) must keep loading — they restore history and dense regions and
-// simply leave the probe cache cold.
-func TestSnapshotV1BackCompat(t *testing.T) {
-	rng := rand.New(rand.NewSource(65))
-	db, _ := newTestDB(t, rng, 2, 50, 5, false, nil)
-	e := NewEngine(db, Options{N: 50})
-	v1 := `{"version":1,"queries":7,"schema":["A0","A1","cat"],` +
-		`"tuples":[{"id":1,"ord":[5,6,0],"cat":{"cat":"x"}},{"id":2,"ord":[7,8,0],"cat":{"cat":"y"}}],` +
-		`"dense1d":[{"attr":0,"lo":4,"hi":8,"ids":[1,2]}]}`
-	if err := e.LoadSnapshot(strings.NewReader(v1)); err != nil {
-		t.Fatalf("version-1 snapshot rejected: %v", err)
+// assertColdEngine fails unless e holds no knowledge at all: no history,
+// no 1D or MD dense region, no cached probe.
+func assertColdEngine(t *testing.T, e *Engine) {
+	t.Helper()
+	if n := e.History().Size(); n != 0 {
+		t.Errorf("engine holds %d history tuples, want 0", n)
 	}
-	if e.History().Size() != 2 {
-		t.Fatalf("history size %d, want 2", e.History().Size())
+	for _, attr := range e.db.Schema().OrdinalIndexes() {
+		if n := e.DenseIndex1D().Regions(attr); n != 0 {
+			t.Errorf("engine holds %d 1D regions on attribute %d, want 0", n, attr)
+		}
 	}
-	if e.DenseIndex1D().Regions(0) != 1 {
-		t.Fatal("dense region lost")
+	if n := e.MDDenseRegions(); n != 0 {
+		t.Errorf("engine holds %d MD regions, want 0", n)
 	}
-	if e.ProbeCacheEntries() != 0 {
-		t.Fatalf("v1 snapshot restored %d probe entries, want 0", e.ProbeCacheEntries())
-	}
-	if tp, ok := e.History().MinMatching(query.New(), 0, types.FullInterval()); !ok || tp.ID != 1 {
-		t.Fatal("restored history index broken")
+	if n := e.ProbeCacheEntries(); n != 0 {
+		t.Errorf("engine holds %d cached probes, want 0", n)
 	}
 }
 
+// TestSnapshotValidation: malformed knowledge is rejected by the one loader
+// (applyDelta) — and so by both data-dir replay and snapshot import — and a
+// rejected delta leaves the engine cold. The records are CRC-valid, so
+// only these checks stop them: a short history tuple would otherwise be
+// served as an answer.
 func TestSnapshotValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	db, _ := newTestDB(t, rng, 2, 50, 5, false, nil)
-	e := NewEngine(db, Options{N: 50})
-	// Wrong version.
-	if err := e.LoadSnapshot(strings.NewReader(`{"version":99}`)); err == nil {
-		t.Error("version mismatch accepted")
+	db, _, ref := persistTestWorld(t, 62)
+	fp := ref.PersistFingerprint()
+	tuple := func(id int, ord ...float64) segment.Tuple {
+		return segment.Tuple{ID: id, Ord: ord, Cat: map[string]string{"cat": "x"}}
 	}
-	// Wrong schema arity.
-	if err := e.LoadSnapshot(strings.NewReader(`{"version":1,"schema":["only-one"]}`)); err == nil {
-		t.Error("schema arity mismatch accepted")
+	good := tuple(100000, 1, 2, 0)
+	withGood := func(d segment.Delta) *segment.Delta {
+		d.HistHi, d.Hist = 1, []segment.Tuple{good}
+		return &d
 	}
-	// Wrong schema names.
-	if err := e.LoadSnapshot(strings.NewReader(`{"version":1,"schema":["a","b","c"]}`)); err == nil {
-		t.Error("schema name mismatch accepted")
+	unit := segment.Dim{Lo: 0, Hi: 1}
+	ids := []int{good.ID}
+	cases := []struct {
+		name string
+		d    *segment.Delta
+	}{
+		{"history tuple with 1 value", &segment.Delta{HistHi: 1, Hist: []segment.Tuple{tuple(100000, 1)}}},
+		{"dense1 on attribute 7", withGood(segment.Delta{Dense1: []segment.Dense1Op{{Attr: 7, Dim: unit, IDs: ids}}})},
+		{"MD on attribute 9", withGood(segment.Delta{DenseMD: []segment.MDOp{{Attrs: []int{0, 9}, Dims: []segment.Dim{unit, unit}, IDs: ids}}})},
+		{"inline tuple with 4 values", &segment.Delta{Tuples: []segment.Tuple{tuple(7, 1, 2, 3, 4)}}},
+		{"dense1 on negative attribute", withGood(segment.Delta{Dense1: []segment.Dense1Op{{Attr: -1, Dim: unit, IDs: ids}}})},
+		{"MD attributes descending", withGood(segment.Delta{DenseMD: []segment.MDOp{{Attrs: []int{1, 0}, Dims: []segment.Dim{unit, unit}, IDs: ids}}})},
+		{"MD attribute repeated", withGood(segment.Delta{DenseMD: []segment.MDOp{{Attrs: []int{0, 0}, Dims: []segment.Dim{unit, unit}, IDs: ids}}})},
+		{"MD with 1 dim for 2 attributes", withGood(segment.Delta{DenseMD: []segment.MDOp{{Attrs: []int{0, 1}, Dims: []segment.Dim{unit}, IDs: ids}}})},
+		{"MD without attributes", withGood(segment.Delta{DenseMD: []segment.MDOp{{IDs: ids}}})},
+		{"dangling dense1 reference", withGood(segment.Delta{Dense1: []segment.Dense1Op{{Attr: 0, Dim: unit, IDs: []int{42}}}})},
+		{"dangling MD reference", withGood(segment.Delta{DenseMD: []segment.MDOp{{Attrs: []int{0, 1}, Dims: []segment.Dim{unit, unit}, IDs: []int{42}}}})},
+		{"dangling probe reference", withGood(segment.Delta{Probes: []segment.ProbeOp{{Key: "TRUE", IDs: []int{42}}}})},
 	}
-	// Dense region referencing an unknown tuple.
-	bad := `{"version":1,"schema":["A0","A1","cat"],"tuples":[],` +
-		`"dense1d":[{"attr":0,"lo":0,"hi":1,"ids":[42]}]}`
-	if err := e.LoadSnapshot(strings.NewReader(bad)); err == nil {
-		t.Error("dangling dense-region reference accepted")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine(db, Options{N: 400})
+			if err := e.applyDelta(c.d); err == nil {
+				t.Error("applyDelta accepted the delta")
+			}
+			assertColdEngine(t, e)
+
+			var buf bytes.Buffer
+			if err := segment.WriteSnapshot(&buf, fp, c.d); err != nil {
+				t.Fatal(err)
+			}
+			e = NewEngine(db, Options{N: 400})
+			if err := e.LoadSnapshot(&buf); err == nil {
+				t.Error("LoadSnapshot accepted the delta")
+			}
+			assertColdEngine(t, e)
+		})
 	}
-	// Cached probe referencing an unknown tuple.
-	badProbe := `{"version":2,"schema":["A0","A1","cat"],"tuples":[],` +
-		`"probes":[{"key":"TRUE","ids":[42]}]}`
-	if err := e.LoadSnapshot(strings.NewReader(badProbe)); err == nil {
-		t.Error("dangling probe-cache reference accepted")
+
+	// The same well-formed delta loads, so the cases above fail for the
+	// reason they name.
+	okDelta := withGood(segment.Delta{Dense1: []segment.Dense1Op{{Attr: 0, Dim: unit, IDs: ids}}})
+	if err := NewEngine(db, Options{N: 400}).applyDelta(okDelta); err != nil {
+		t.Fatalf("well-formed delta rejected: %v", err)
 	}
-	// MD region referencing an unknown tuple.
-	badMD := `{"version":3,"schema":["A0","A1","cat"],"tuples":[],` +
-		`"denseMD":[{"attrs":[0,1],"dims":[{"lo":0,"hi":1},{"lo":0,"hi":1}],"ids":[42],"complete":true}]}`
-	if err := e.LoadSnapshot(strings.NewReader(badMD)); err == nil {
-		t.Error("dangling MD-region reference accepted")
+
+	// Envelope errors: not a segment file, another format version, another
+	// upstream's schema.
+	for name, raw := range map[string]string{
+		"malformed JSON":  `{`,
+		"format version":  `{"format":99,"fingerprint":{"schema":["A0","A1","cat"]},"deltas":[]}`,
+		"schema mismatch": `{"format":1,"fingerprint":{"schema":["a","b","c"]},"deltas":[]}`,
+		"schema arity":    `{"format":1,"fingerprint":{"schema":["only-one"]},"deltas":[]}`,
+		"null delta":      `{"format":1,"fingerprint":{"schema":["A0","A1","cat"]},"deltas":[null]}`,
+	} {
+		if err := NewEngine(db, Options{N: 400}).LoadSnapshot(strings.NewReader(raw)); err == nil {
+			t.Errorf("%s: import accepted", name)
+		}
 	}
-	// MD region with mismatched dims/attrs arity.
-	badMDDims := `{"version":3,"schema":["A0","A1","cat"],"tuples":[],` +
-		`"denseMD":[{"attrs":[0,1],"dims":[{"lo":0,"hi":1}],"ids":[],"complete":true}]}`
-	if err := e.LoadSnapshot(strings.NewReader(badMDDims)); err == nil {
-		t.Error("MD region with 1 dim for 2 attributes accepted")
+
+	// An engine with persistence attached gets its knowledge from its data
+	// dir; an import into it is refused.
+	e := NewEngine(db, Options{N: 400})
+	p, err := e.AttachPersistence(openStore(t, e, t.TempDir(), segment.Options{}), PersistOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// MD region on an out-of-range attribute.
-	badMDAttr := `{"version":3,"schema":["A0","A1","cat"],"tuples":[],` +
-		`"denseMD":[{"attrs":[0,9],"dims":[{"lo":0,"hi":1},{"lo":0,"hi":1}],"ids":[],"complete":true}]}`
-	if err := e.LoadSnapshot(strings.NewReader(badMDAttr)); err == nil {
-		t.Error("MD region on invalid attribute accepted")
+	defer p.Close()
+	var buf bytes.Buffer
+	if err := segment.WriteSnapshot(&buf, fp, okDelta); err != nil {
+		t.Fatal(err)
 	}
-	// An incomplete MD region is skipped (not authoritative), never an
-	// error — forward-compatibility for partially-persisted crawls.
-	incomplete := `{"version":3,"schema":["A0","A1","cat"],"tuples":[],` +
-		`"denseMD":[{"attrs":[0,1],"dims":[{"lo":0,"hi":1},{"lo":0,"hi":1}],"ids":[],"complete":false}]}`
-	if err := e.LoadSnapshot(strings.NewReader(incomplete)); err != nil {
-		t.Errorf("incomplete MD region rejected: %v", err)
+	if err := e.LoadSnapshot(&buf); err == nil {
+		t.Error("import into a persisting engine accepted")
 	}
-	if e.MDDenseRegions() != 0 {
-		t.Errorf("incomplete MD region restored (%d regions), want skipped", e.MDDenseRegions())
+}
+
+// TestSnapshotImportsDataDirSegment: export and the data dir share one
+// codec, so a compacted data dir's segment file imports as a snapshot and
+// rebuilds the same knowledge.
+func TestSnapshotImportsDataDirSegment(t *testing.T) {
+	dir := t.TempDir()
+	db, tuples, e1 := persistTestWorld(t, 72)
+	p, err := e1.AttachPersistence(openStore(t, e1, dir, segment.Options{}), PersistOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Malformed JSON.
-	if err := e.LoadSnapshot(strings.NewReader(`{`)); err == nil {
-		t.Error("malformed JSON accepted")
+	// Two checkpoints, so compaction has records to fold.
+	runPersistWorkload(t, e1, tuples)
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
-	// Tuple with wrong arity.
-	bad2 := `{"version":1,"schema":["A0","A1","cat"],"tuples":[{"id":1,"ord":[1]}]}`
-	if err := e.LoadSnapshot(strings.NewReader(bad2)); err == nil {
-		t.Error("short tuple accepted")
+	if _, err := e1.NewSession().issue(query.New().WithRange(1, types.ClosedInterval(60, 61))); err != nil {
+		t.Fatal(err)
 	}
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.store.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "segments", "*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("compacted data dir holds segments %v (%v), want exactly one", segs, err)
+	}
+	f, err := os.Open(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	e2 := NewEngine(db, Options{N: 400})
+	if err := e2.LoadSnapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	assertSameKnowledge(t, e2, e1)
 }
 
 // newMDDenseTestDB builds a 2-ordinal-attribute corpus with a tight cluster
@@ -377,8 +434,8 @@ func newMDDenseTestDB(t *testing.T) (*hidden.DB, []types.Tuple) {
 	return hidden.MustDB(schema, tuples, hidden.Options{K: 10, Ranker: sys}), tuples
 }
 
-// TestSnapshotV3MDWarmRestart is the acceptance criterion of snapshot v3: a
-// restarted engine loading a snapshot answers an MD-RERANK session over a
+// TestSnapshotV3MDWarmRestart: a restarted engine importing a snapshot
+// answers an MD-RERANK session over a
 // previously-crawled dense region with ZERO upstream TopK calls — the dense
 // region comes from the persisted MD index and the tie probes from the
 // persisted probe LRU.
@@ -412,7 +469,7 @@ func TestSnapshotV3MDWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// "Restart": fresh engine, load the v3 snapshot, repeat the session.
+	// "Restart": fresh engine, import the snapshot, repeat the session.
 	db.ResetCounter()
 	e2 := NewEngine(db, Options{N: 1200})
 	if err := e2.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
@@ -446,9 +503,8 @@ func TestSnapshotV3MDWarmRestart(t *testing.T) {
 }
 
 // TestSnapshotMDFingerprintMismatch: a crawled MD region's authority assumes
-// the same corpus, so loading against an upstream with a different
-// fingerprint must leave the MD index (and the probe cache) cold while still
-// restoring the history.
+// the same corpus, so importing against an upstream with a different
+// fingerprint must fail and leave the engine cold.
 func TestSnapshotMDFingerprintMismatch(t *testing.T) {
 	db, tuples := newMDDenseTestDB(t)
 	rk := ranking.MustLinear("sum", []int{0, 1}, []float64{1, 1})
@@ -479,28 +535,14 @@ func TestSnapshotMDFingerprintMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Different system-k: dense regions (1D and MD) and probes stay cold,
-	// history loads.
+	// Different system-k: the import fails and nothing loads — no dense
+	// region (1D or MD), no probe, no history.
 	dbK := hidden.MustDB(db.Schema(), tuples, hidden.Options{K: 7})
 	eK := NewEngine(dbK, Options{N: 1200})
-	if err := eK.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
+	if err := eK.LoadSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Error("k-mismatched import succeeded, want an error")
 	}
-	if eK.MDDenseRegions() != 0 {
-		t.Errorf("k-mismatched load restored %d MD regions, want 0", eK.MDDenseRegions())
-	}
-	if eK.DenseIndex1D().Regions(0) != 0 {
-		t.Errorf("k-mismatched load restored %d 1D regions, want 0", eK.DenseIndex1D().Regions(0))
-	}
-	if eK.ProbeCacheEntries() != 0 {
-		t.Errorf("k-mismatched load restored %d probe entries, want 0", eK.ProbeCacheEntries())
-	}
-	// History must survive in full. The snapshot holds e1's history plus
-	// the region-referenced tuples appended explicitly by SaveSnapshot, so
-	// the restored store can only be larger than e1's.
-	if eK.History().Size() < e1.History().Size() {
-		t.Errorf("k-mismatched load lost history: %d, want at least %d", eK.History().Size(), e1.History().Size())
-	}
+	assertColdEngine(t, eK)
 
 	// Matching upstream: everything restores.
 	eOK := NewEngine(db, Options{N: 1200})
@@ -515,30 +557,65 @@ func TestSnapshotMDFingerprintMismatch(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2BackCompat: PR-2-format snapshots (version 2, no denseMD
-// field) must keep loading — history, 1D regions, and probes restore; the
-// MD index simply starts cold.
-func TestSnapshotV2BackCompat(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	db, _ := newTestDB(t, rng, 2, 50, 5, false, nil)
-	v2 := `{"version":2,"queries":9,"schema":["A0","A1","cat"],` +
-		`"tuples":[{"id":1,"ord":[5,6,0],"cat":{"cat":"x"}},{"id":2,"ord":[7,8,0],"cat":{"cat":"y"}}],` +
-		`"dense1d":[{"attr":0,"lo":4,"hi":8,"ids":[1,2]}],` +
-		`"probes":[{"key":"TRUE","ids":[1,2]}]}`
-	e := NewEngine(db, Options{N: 50})
-	if err := e.LoadSnapshot(strings.NewReader(v2)); err != nil {
-		t.Fatalf("version-2 snapshot rejected: %v", err)
+// FuzzLoadSnapshot feeds untrusted bytes to the one knowledge decoder and
+// loader. Import must never panic: it either returns an error or leaves a
+// usable engine, one whose knowledge exports again and re-imports cleanly.
+// The seed corpus is a real export plus truncated and mutated copies of it.
+func FuzzLoadSnapshot(f *testing.F) {
+	rng := rand.New(rand.NewSource(73))
+	schema := testSchema(2)
+	tuples := genTuples(rng, schema, 400, false)
+	db := hidden.MustDB(schema, tuples, hidden.Options{K: 10})
+
+	e := NewEngine(db, Options{N: 400})
+	sess := e.NewSession()
+	for _, q := range persistProbes() {
+		if _, err := sess.issue(q); err != nil {
+			f.Fatal(err)
+		}
 	}
-	if e.History().Size() != 2 {
-		t.Fatalf("history size %d, want 2", e.History().Size())
+	var in1, inMD []types.Tuple
+	box := query.Box{Dims: []types.Interval{types.ClosedInterval(20, 30), types.ClosedInterval(20, 30)}}
+	for _, tu := range tuples {
+		if tu.Ord[0] >= 3 && tu.Ord[0] <= 5 {
+			in1 = append(in1, tu)
+		}
+		if box.Contains([]float64{tu.Ord[0], tu.Ord[1]}) {
+			inMD = append(inMD, tu)
+		}
 	}
-	if e.DenseIndex1D().Regions(0) != 1 {
-		t.Fatal("dense 1D region lost")
+	e.know.InsertDense1(0, types.ClosedInterval(3, 5), in1)
+	e.know.InsertDenseMD([]int{0, 1}, box, inMD)
+	var buf bytes.Buffer
+	if err := e.SaveSnapshot(&buf); err != nil {
+		f.Fatal(err)
 	}
-	if e.ProbeCacheEntries() != 1 {
-		t.Fatalf("v2 snapshot restored %d probe entries, want 1", e.ProbeCacheEntries())
+	export := buf.Bytes()
+	f.Add(export)
+	f.Add(export[:len(export)/2])
+	f.Add(export[:len(export)-1])
+	for _, m := range [][2]string{
+		{`"ord":[`, `"ord":[1,`},
+		{`"attrs":[0,1]`, `"attrs":[1,0]`},
+		{`"attr":0`, `"attr":9`},
+		{`"ids":[`, `"ids":[-5,`},
+		{`"deltas":[`, `"deltas":[null,`},
+		{`"epoch":`, `"epoch":-`},
+	} {
+		f.Add(bytes.Replace(export, []byte(m[0]), []byte(m[1]), 1))
 	}
-	if e.MDDenseRegions() != 0 {
-		t.Fatalf("v2 snapshot restored %d MD regions, want 0", e.MDDenseRegions())
-	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e := NewEngine(db, Options{N: 400})
+		if err := e.LoadSnapshot(bytes.NewReader(data)); err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := e.SaveSnapshot(&buf); err != nil {
+			t.Fatalf("re-export after a successful import: %v", err)
+		}
+		if err := NewEngine(db, Options{N: 400}).LoadSnapshot(&buf); err != nil {
+			t.Fatalf("re-import after a successful import: %v", err)
+		}
+	})
 }

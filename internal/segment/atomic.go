@@ -2,9 +2,8 @@
 // to concurrent readers but NOT crash-safe on its own: without an fsync of
 // the file a power loss after the rename can surface an empty or partial
 // file under the final name, and without an fsync of the parent directory
-// the rename itself may not survive. WriteFileAtomic does all three steps,
-// and is shared by the journal/segment writers here and by cmd/rerankd's
-// snapshot export.
+// the rename itself may not survive. WriteFileAtomic does all three steps
+// for the journal and segment writers.
 
 package segment
 

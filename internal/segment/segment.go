@@ -55,6 +55,7 @@ package segment
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"repro/internal/acquire"
 )
@@ -79,8 +80,8 @@ type Fingerprint struct {
 
 // Matches reports whether two fingerprints describe the same upstream
 // deployment. Schemas must be identical; k and ranker are compared only when
-// both sides know them (an unknown side skips that comparison, mirroring the
-// snapshot loader's fingerprint gate).
+// both sides know them (an unknown side skips that comparison). It is the
+// one fingerprint gate: data-dir recovery and snapshot import both use it.
 func (f Fingerprint) Matches(other Fingerprint) bool {
 	if len(f.Schema) != len(other.Schema) {
 		return false
@@ -218,4 +219,30 @@ func decodeSegment(data []byte, fp Fingerprint) (*segmentFile, error) {
 		return nil, fmt.Errorf("segment: fingerprint mismatch")
 	}
 	return &sf, nil
+}
+
+// WriteSnapshot writes d as one portable segment file under fp: the export
+// half of an engine's export/import. The bytes are a sealed segment's, so
+// a segment file taken from a data dir imports the same way.
+func WriteSnapshot(w io.Writer, fp Fingerprint, d *Delta) error {
+	body, err := encodeSegment(fp, []*Delta{d})
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(body)
+	return err
+}
+
+// ReadSnapshot decodes one segment file and returns its deltas in commit
+// order, rejecting a format or fingerprint mismatch.
+func ReadSnapshot(r io.Reader, fp Fingerprint) ([]*Delta, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("segment: read: %w", err)
+	}
+	sf, err := decodeSegment(data, fp)
+	if err != nil {
+		return nil, err
+	}
+	return sf.Deltas, nil
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -36,10 +35,11 @@ func clusteredDB(t *testing.T) *hidden.DB {
 	return hidden.MustDB(schema, tuples, hidden.Options{K: 10})
 }
 
-// TestServiceMDWarmRestart is the service-level acceptance test for snapshot
-// v3: a restarted server loading saved state answers an MD-RERANK request
-// over a previously-crawled dense region with zero upstream queries — the
-// exact restart economics rerankd -state provides.
+// TestServiceMDWarmRestart is the service-level drain-and-restart test: a
+// server that drained into its data dir (ClosePersistence, the final
+// checkpoint rerankd takes on SIGTERM) restarts from that dir and answers
+// an MD-RERANK request over a previously-crawled dense region with zero
+// upstream queries and the same answer.
 func TestServiceMDWarmRestart(t *testing.T) {
 	db := clusteredDB(t)
 	lo, hi := 50.0, 50.3
@@ -52,7 +52,11 @@ func TestServiceMDWarmRestart(t *testing.T) {
 		H:       5,
 	}
 
+	dir := t.TempDir()
 	srv1 := NewServerWith(db, core.Options{N: 1200})
+	if err := srv1.OpenDataDir(dir, PersistConfig{}); err != nil {
+		t.Fatal(err)
+	}
 	resp1, _, err := srv1.Rerank(req)
 	if err != nil {
 		t.Fatal(err)
@@ -64,17 +68,17 @@ func TestServiceMDWarmRestart(t *testing.T) {
 	if st.MDDenseRegions == 0 {
 		t.Fatal("precondition: cold request crawled no MD dense region")
 	}
-	var buf bytes.Buffer
-	if err := srv1.SaveState(&buf); err != nil {
+	if err := srv1.ClosePersistence(); err != nil {
 		t.Fatal(err)
 	}
 
-	// "Restart": a fresh server over the same upstream, state loaded.
+	// "Restart": a fresh server over the same upstream, replaying the dir.
 	db.ResetCounter()
 	srv2 := NewServerWith(db, core.Options{N: 1200})
-	if err := srv2.LoadState(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := srv2.OpenDataDir(dir, PersistConfig{}); err != nil {
 		t.Fatal(err)
 	}
+	defer srv2.ClosePersistence()
 	if got := srv2.Stats().MDDenseRegions; got != st.MDDenseRegions {
 		t.Fatalf("restored %d MD dense regions, want %d", got, st.MDDenseRegions)
 	}

@@ -181,12 +181,15 @@ func (r *Reranker) NewSession() *Session { return r.engine.NewSession() }
 // by the coalescing layer count once.
 func (r *Reranker) QueriesIssued() int64 { return r.engine.Queries() }
 
-// SaveSnapshot serializes the accumulated answer history and dense indexes
-// so a future Reranker over the same upstream can start warm.
+// SaveSnapshot writes the accumulated knowledge (answer history, dense
+// indexes, cached probe answers) as one segment file, the codec rerankd's
+// data dir uses, so a future Reranker over the same upstream can start
+// warm.
 func (r *Reranker) SaveSnapshot(w io.Writer) error { return r.engine.SaveSnapshot(w) }
 
-// LoadSnapshot restores knowledge saved by SaveSnapshot. The upstream
-// schema must match.
+// LoadSnapshot imports knowledge saved by SaveSnapshot into a fresh
+// Reranker. The upstream fingerprint (schema, system k, ranker) must
+// match, or nothing loads and an error is returned.
 func (r *Reranker) LoadSnapshot(rd io.Reader) error { return r.engine.LoadSnapshot(rd) }
 
 // HistorySize reports how many distinct upstream tuples have been observed.
