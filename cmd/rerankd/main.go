@@ -100,7 +100,6 @@ func main() {
 		dataDir      = flag.String("data-dir", "", "segment/journal persistence directory: each namespace replays and checkpoints its own <dir>/<name>/ store, and the SIGINT/SIGTERM drain takes a final checkpoint")
 		ckptInterval = flag.Duration("checkpoint-interval", 15*time.Second, "background checkpoint period for -data-dir (0 = checkpoint only at drain)")
 		cache        = flag.Int("probe-cache", 0, "probe-result LRU entries per namespace (0 = default 1024, negative disables the cache)")
-		noCoal       = flag.Bool("no-coalesce", false, "disable probe coalescing (for upstreams whose corpus changes mid-run)")
 		width        = flag.Int("search-parallelism", 1, "speculative probe width W of the MD search: up to W frontier probes in flight per request (1 = sequential; raise against high-latency upstreams)")
 		maxSessions  = flag.Int("max-sessions", 0, "max in-flight sessions across all namespaces before requests are shed with 429 (0 = unlimited; a batch of N counts N)")
 		clientBudget = flag.Int64("client-budget", 0, "upstream queries each client (X-Client-ID header) may cost per budget window (0 = unmetered)")
@@ -130,7 +129,6 @@ func main() {
 		Core: core.Options{
 			N:                     hint,
 			ProbeCacheSize:        *cache,
-			DisableCoalescing:     *noCoal,
 			SearchParallelism:     *width,
 			MaxConcurrentSessions: *maxSessions,
 		},

@@ -23,7 +23,7 @@
 // one confirming probe through the flight group: an unchanged answer
 // promotes the entry to the current epoch, a changed one replaces (or, on
 // overflow, evicts) just that entry. Options.DisableCoalescing opts out
-// entirely for upstreams too volatile even for that.
+// entirely, for the paper-faithful per-probe costs the experiments measure.
 //
 // The parallel speculative MD search (md.go) leans on this layer twice
 // over: its concurrent probe rounds dedup against other sessions' in-flight

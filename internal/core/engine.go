@@ -109,9 +109,10 @@ type Options struct {
 	// regardless of cache state.
 	MaxQueriesPerOp int64
 	// DisableCoalescing turns off the probe coalescing layer (in-flight
-	// dedup and the complete-answer LRU). Use it when the upstream corpus
-	// can change during the engine's lifetime, or for paper-faithful
-	// per-probe cost accounting in experiments.
+	// dedup and the complete-answer LRU), so every probe reaches the
+	// upstream and is charged: the paper-faithful per-probe cost
+	// accounting the experiments reproduce. A changing upstream corpus is
+	// handled by knowledge epochs and re-validation, not by this switch.
 	DisableCoalescing bool
 	// ProbeCacheSize bounds the complete-answer LRU: 0 means the default
 	// (1024 probe results), negative disables the cache while keeping
@@ -218,7 +219,7 @@ func (e *Engine) Heat() *acquire.Sketch { return e.know.heat }
 // sketch. Call it from the request path after validation: the cost is one
 // short mutex acquisition per bounded range, no upstream work.
 func (e *Engine) RecordHeat(q query.Query) {
-	for attr, iv := range q.Ranges {
+	for attr, iv := range q.Ranges() {
 		if iv.Empty() || iv.Unbounded() {
 			continue
 		}

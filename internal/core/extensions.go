@@ -48,7 +48,7 @@ func (e *Engine) NewKnownRankCursor(db hidden.Database, q query.Query, attr int,
 // bookkeeping and tie crawling only.
 func (s *Session) NewKnownRankCursor(db hidden.Database, q query.Query, attr int, dir ranking.Direction) *KnownRankCursor {
 	return &KnownRankCursor{
-		s: s, db: db, q: q.Clone(), attr: attr, dir: dir,
+		s: s, db: db, q: q, attr: attr, dir: dir,
 		lastAxis: math.Inf(-1),
 	}
 }
@@ -157,7 +157,7 @@ func (e *Engine) NewTACursorWithAccess(q query.Query, r ranking.Ranker, access [
 func (s *Session) NewTACursorWithAccess(q query.Query, r ranking.Ranker, access []Cursor) *TACursor {
 	ax := ranking.NewAxis(r, s.e.db.Schema())
 	t := &TACursor{
-		s: s, q: q.Clone(), axis: ax,
+		s: s, q: q, axis: ax,
 		seen:    make(map[int]types.Tuple),
 		emitted: make(map[int]bool),
 		access:  access,

@@ -44,9 +44,11 @@ type Knowledge struct {
 	// discarded wholesale.
 	epoch atomic.Int64
 	// histStaleRows is the history row watermark at the last epoch bump:
-	// rows below it were learned under an earlier epoch. History rows are
-	// candidate hints that always get probe-confirmed before use, so the
-	// watermark is observability, not a correctness gate.
+	// rows below it were learned under an earlier epoch. It is
+	// observability only: nothing gates on it, and a history candidate is
+	// emitted without a confirming probe even when it lies below the
+	// watermark, so a row that drifted upstream can be served with its old
+	// values until cursors confirm stale rows before use.
 	histStaleRows atomic.Int64
 	// Lazy re-validation outcomes for dense regions (the probe cache keeps
 	// its own pair in the coalescer).

@@ -150,7 +150,6 @@ type mdResolver struct {
 	covered  []query.Box // boxes answered completely during this top-1 search
 	batch    []batchItem
 	results  []probeResult
-	probeQs  []query.Query
 	zbuf     []float64 // ToAxisInto scratch for improve
 	rlkBuf   query.Box // realBoxInto scratch for dense-index lookups
 }
@@ -249,7 +248,7 @@ func (s *Session) NewMDCursor(q query.Query, r ranking.Ranker, v Variant) *MDCur
 	e := s.e
 	ax := ranking.NewAxis(r, e.db.Schema())
 	c := &MDCursor{
-		s: s, q: q.Clone(), variant: v,
+		s: s, q: q, variant: v,
 		emitted: make(map[int]bool),
 		width:   e.searchWidth(),
 	}
@@ -293,7 +292,6 @@ func (s *Session) NewMDCursor(q query.Query, r ranking.Ranker, v Variant) *MDCur
 			spec:    i > 0,
 			batch:   make([]batchItem, 0, c.width),
 			results: make([]probeResult, c.width),
-			probeQs: make([]query.Query, c.width),
 			zbuf:    make([]float64, ax.M()),
 			rlkBuf:  query.Box{Dims: make([]types.Interval, len(c.sorted))},
 		}
@@ -323,8 +321,7 @@ func (r *mdResolver) issue(b query.Box) (hidden.Result, error) {
 	if !r.c.chargeOp() {
 		return hidden.Result{}, ErrBudget
 	}
-	r.axis.BoxToQueryInto(r.c.q, b, &r.probeQs[0])
-	res, issued, err := r.c.s.issueCounted(r.probeQs[0])
+	res, issued, err := r.c.s.issueCounted(r.axis.BoxToQuery(r.c.q, b))
 	if issued {
 		r.charged++
 	}
@@ -919,10 +916,11 @@ func (r *mdResolver) top1(box query.Box, cand *candidate) (types.Tuple, bool, er
 		r.batch = r.batch[:issuable]
 		// Issue the round concurrently; slots beyond the first are
 		// speculative.
-		for i := range r.batch {
-			r.axis.BoxToQueryInto(c.q, r.batch[i].box, &r.probeQs[i])
+		round := r.results[:len(r.batch)]
+		for i := range round {
+			round[i].q = r.axis.BoxToQuery(c.q, r.batch[i].box)
 		}
-		c.s.issueAll(r.probeQs[:len(r.batch)], r.results[:len(r.batch)])
+		c.s.issueAll(round)
 		for i := range r.batch {
 			if r.results[i].issued {
 				r.charged++

@@ -64,7 +64,7 @@ func (s *Session) NewOneDCursor(q query.Query, attr int, dir ranking.Direction, 
 		v = Rerank
 	}
 	return &OneDCursor{
-		s: s, q: q.Clone(), attr: attr, dir: dir, variant: v,
+		s: s, q: q, attr: attr, dir: dir, variant: v,
 		lastAxis: math.Inf(-1),
 	}
 }
@@ -258,7 +258,7 @@ func (c *OneDCursor) plateauCursor(v float64) (*OneDCursor, bool) {
 		if a == c.attr {
 			continue
 		}
-		if iv, ok := subQ.Ranges[a]; ok && iv.Lo == iv.Hi {
+		if iv, ok := subQ.Range(a); ok && iv.Lo == iv.Hi {
 			continue // already pinned by an outer plateau level
 		}
 		return c.s.NewOneDCursor(subQ, a, ranking.Asc, c.variant), true

@@ -65,37 +65,40 @@ func (e *Engine) NewSession() *Session {
 	return s
 }
 
-// probeResult is one outcome slot of a concurrent probe round. issued
-// mirrors issueCounted's flag: whether this probe reached the upstream (and
-// was therefore charged), as opposed to replaying a cached or coalesced
-// answer for free.
+// probeResult is one slot of a concurrent probe round: the probe q to issue
+// and its outcome. issued mirrors issueCounted's flag: whether this probe
+// reached the upstream (and was therefore charged), as opposed to replaying
+// a cached or coalesced answer for free.
 type probeResult struct {
+	q      query.Query
 	res    hidden.Result
 	issued bool
 	err    error
 }
 
-// issueAll issues qs concurrently through the coalescing layer, bounded by
-// the session's worker pool, writing outcome i into out[i]. Charging is per
-// probe exactly as in issue: only calls that reach the upstream are charged,
-// atomically, so the ledger total is order-independent and reproducible.
-// Callers own qs and out again once issueAll returns.
-func (s *Session) issueAll(qs []query.Query, out []probeResult) {
-	if len(qs) == 1 || s.workers == nil {
-		for i := range qs {
-			out[i].res, out[i].issued, out[i].err = s.issueCounted(qs[i])
+// issueAll issues every slot's q concurrently through the coalescing layer,
+// bounded by the session's worker pool, writing each outcome into its slot.
+// Charging is per probe exactly as in issue: only calls that reach the
+// upstream are charged, atomically, so the ledger total is
+// order-independent and reproducible. Callers own round again once
+// issueAll returns.
+func (s *Session) issueAll(round []probeResult) {
+	if len(round) == 1 || s.workers == nil {
+		for i := range round {
+			p := &round[i]
+			p.res, p.issued, p.err = s.issueCounted(p.q)
 		}
 		return
 	}
 	var wg sync.WaitGroup
-	for i := range qs {
+	for i := range round {
 		wg.Add(1)
-		go func(i int) {
+		go func(p *probeResult) {
 			defer wg.Done()
 			s.workers <- struct{}{}
 			defer func() { <-s.workers }()
-			out[i].res, out[i].issued, out[i].err = s.issueCounted(qs[i])
-		}(i)
+			p.res, p.issued, p.err = s.issueCounted(p.q)
+		}(&round[i])
 	}
 	wg.Wait()
 }

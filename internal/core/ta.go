@@ -44,7 +44,7 @@ func (e *Engine) NewTACursor(q query.Query, r ranking.Ranker) *TACursor {
 func (s *Session) NewTACursor(q query.Query, r ranking.Ranker) *TACursor {
 	ax := ranking.NewAxis(r, s.e.db.Schema())
 	t := &TACursor{
-		s: s, q: q.Clone(), axis: ax,
+		s: s, q: q, axis: ax,
 		seen:    make(map[int]types.Tuple),
 		emitted: make(map[int]bool),
 	}

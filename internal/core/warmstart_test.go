@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/query"
 	"repro/internal/types"
 )
@@ -133,7 +134,7 @@ func TestConcurrentStoreReadsWritesLiveSnapshot(t *testing.T) {
 						errs <- fmt.Errorf("MaxMatching yielded non-qualifying tuple %v", tp)
 						return
 					}
-					hist.CountMatching(q)
+					hist.ScanFrom(q, 0, func(colstore.View, int) {})
 				}
 			}
 		}(r)

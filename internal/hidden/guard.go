@@ -207,11 +207,6 @@ func (g *Guard) attempt(q query.Query) (Result, error) {
 	if g.opts.HedgeAfter <= 0 {
 		return g.db.TopK(q)
 	}
-	// The losing leg outlives this call, but a Query value shares its maps
-	// with the caller, who may rebuild it in place (a scratch probe query)
-	// as soon as we return. Both legs read a private copy taken before
-	// either starts.
-	q = q.Clone()
 	type outcome struct {
 		res   Result
 		err   error

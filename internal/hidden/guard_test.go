@@ -215,10 +215,9 @@ func TestGuardHedging(t *testing.T) {
 }
 
 // TestGuardHedgeStragglerOwnsItsQuery: the losing leg of a hedged probe
-// outlives the caller, and the caller may rebuild its query in place as
-// soon as TopK returns (MD resolvers reuse one scratch probe query per
-// slot). The straggler must still read the query as issued, and must never
-// race the caller's writes — run under -race.
+// outlives the caller, and the caller may derive new queries from the one it
+// issued as soon as TopK returns. The straggler must still read the query as
+// issued, and must never race the caller's derivations — run under -race.
 func TestGuardHedgeStragglerOwnsItsQuery(t *testing.T) {
 	inner := &funcDB{schema: schema1(), k: 5}
 	release := make(chan struct{})
@@ -238,11 +237,11 @@ func TestGuardHedgeStragglerOwnsItsQuery(t *testing.T) {
 	if _, err := g.TopK(q); err != nil {
 		t.Fatalf("hedged probe failed: %v", err)
 	}
-	// The hedge answered and the primary is still in flight. Rebuild the
-	// query before the straggler reads it, then keep writing while it does.
-	q.AddRange(0, types.ClosedInterval(15, 30))
+	// The hedge answered and the primary is still in flight. Derive new
+	// queries before the straggler reads it, then keep deriving while it does.
+	q = q.WithRange(0, types.ClosedInterval(15, 30))
 	close(release)
-	q.AddRange(1, types.ClosedInterval(0, 1))
+	q = q.WithRange(1, types.ClosedInterval(0, 1))
 	if got := <-seen; got != want {
 		t.Fatalf("straggler read %q, want the query as issued %q", got, want)
 	}

@@ -31,9 +31,9 @@
 // attribute B. MinMatching/MaxMatching scan run and buffer cooperatively and
 // combine the two candidates.
 //
-// Whole-store scans (BestMatching, ForEachMatching, CountMatching) iterate an
-// immutable point-in-time arena view in insertion order; the iteration runs
-// lock-free, so callbacks may re-enter the store freely.
+// ScanFrom iterates an immutable point-in-time arena view in insertion
+// order; the iteration runs lock-free, so its callback may re-enter the
+// store freely.
 package history
 
 import (
@@ -268,60 +268,15 @@ func (s *Store) MaxMatching(q query.Query, attr int, iv types.Interval) (types.T
 	return v.Tuple(row), true
 }
 
-// BestMatching returns the stored tuple matching q with the smallest score
-// (ties: smallest ID). The tuple handed to the score callback is a scratch
-// materialization valid only for the duration of that call.
-func (s *Store) BestMatching(q query.Query, score func(types.Tuple) float64) (types.Tuple, bool) {
-	v := s.arena.View()
-	m := matcherPool.Get().(*colstore.Matcher)
-	m.Reset(v, q)
-	var scratch types.Tuple
-	bestRow, found := -1, false
-	bestScore, bestID := 0.0, 0
-	for row := 0; row < v.Len(); row++ {
-		if !m.Match(row) {
-			continue
-		}
-		v.MaterializeInto(row, &scratch)
-		sc := score(scratch)
-		if !found || sc < bestScore || (sc == bestScore && scratch.ID < bestID) {
-			bestRow, bestScore, bestID, found = row, sc, scratch.ID, true
-		}
-	}
-	matcherPool.Put(m)
-	if !found {
-		return types.Tuple{}, false
-	}
-	return v.Tuple(bestRow), true
-}
-
-// ForEachMatching calls fn for every stored tuple matching q, in insertion
-// order, until fn returns false. Iteration covers an immutable point-in-time
-// snapshot: fn may re-enter the store (including Add), and tuples added
-// during iteration are not visited. Each tuple passed to fn is freshly
-// materialized and shares no storage with the store — fn may retain it.
-func (s *Store) ForEachMatching(q query.Query, fn func(types.Tuple) bool) {
-	v := s.arena.View()
-	m := matcherPool.Get().(*colstore.Matcher)
-	m.Reset(v, q)
-	for row := 0; row < v.Len(); row++ {
-		if !m.Match(row) {
-			continue
-		}
-		if !fn(v.Tuple(row)) {
-			break
-		}
-	}
-	matcherPool.Put(m)
-}
-
-// ScanFrom is ForEachMatching without materialization, starting at arena row
-// from: fn receives the arena view and a row number and reads attribute
-// values straight from the columns. It returns the snapshot length it read
-// up to. Rows below that mark never change (the arena is append-only), so
+// ScanFrom calls fn for every stored tuple matching q, in insertion order,
+// starting at arena row from: fn receives the arena view and a row number and
+// reads attribute values straight from the columns (v.Tuple(row)
+// materializes a private copy). It returns the snapshot length it read up
+// to. Rows below that mark never change (the arena is append-only), so
 // passing it back as the next from visits every matching row exactly once:
-// the incremental scan behind MD history seeding. The same snapshot and
-// re-entrancy rules as ForEachMatching apply.
+// the incremental scan behind MD history seeding. Iteration covers an
+// immutable point-in-time snapshot: fn may re-enter the store (including
+// Add), and tuples added during the scan are not visited.
 func (s *Store) ScanFrom(q query.Query, from int, fn func(v colstore.View, row int)) int {
 	v := s.arena.View()
 	if from >= v.Len() {
@@ -336,21 +291,6 @@ func (s *Store) ScanFrom(q query.Query, from int, fn func(v colstore.View, row i
 	}
 	matcherPool.Put(m)
 	return v.Len()
-}
-
-// CountMatching returns the number of stored tuples matching q.
-func (s *Store) CountMatching(q query.Query) int {
-	v := s.arena.View()
-	m := matcherPool.Get().(*colstore.Matcher)
-	m.Reset(v, q)
-	n := 0
-	for row := 0; row < v.Len(); row++ {
-		if m.Match(row) {
-			n++
-		}
-	}
-	matcherPool.Put(m)
-	return n
 }
 
 // StorageStats describes the store's columnar footprint.

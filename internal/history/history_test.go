@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/colstore"
 	"repro/internal/query"
 	"repro/internal/types"
 )
@@ -98,37 +99,44 @@ func TestMinMaxMatchingProperty(t *testing.T) {
 	}
 }
 
-func TestBestMatchingAndIteration(t *testing.T) {
+// TestScanFromIncremental: a scan from row 0 visits exactly the matching
+// tuples, and passing the returned mark back as the next from visits only
+// rows added since, each once.
+func TestScanFromIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	s := NewStore(schema())
-	all := tuples(rng, 80)
-	s.Add(all...)
+	all := tuples(rng, 120)
 	q := query.New().WithCat("c", "y")
-	score := func(tp types.Tuple) float64 { return tp.Ord[0] + tp.Ord[1] }
-	got, ok := s.BestMatching(q, score)
-	want := 1e18
+	seen := make(map[int]bool)
+	visit := func(v colstore.View, row int) {
+		id := v.ID(row)
+		if seen[id] {
+			t.Fatalf("t#%d visited twice", id)
+		}
+		seen[id] = true
+	}
+	mark := 0
+	for _, batch := range [][]types.Tuple{all[:50], all[50:51], all[51:]} {
+		s.Add(batch...)
+		mark = s.ScanFrom(q, mark, visit)
+		if mark != s.Size() {
+			t.Fatalf("mark = %d, want store size %d", mark, s.Size())
+		}
+	}
 	n := 0
 	for _, tp := range all {
 		if q.Matches(tp) {
 			n++
-			if sc := score(tp); sc < want {
-				want = sc
+			if !seen[tp.ID] {
+				t.Fatalf("t#%d matches but was not visited", tp.ID)
 			}
 		}
 	}
-	if n == 0 {
-		t.Skip("unlucky seed: no matches")
+	if len(seen) != n {
+		t.Fatalf("visited %d tuples, want the %d matching", len(seen), n)
 	}
-	if !ok || score(got) != want {
-		t.Fatalf("BestMatching = %g, want %g", score(got), want)
-	}
-	if s.CountMatching(q) != n {
-		t.Fatalf("CountMatching = %d, want %d", s.CountMatching(q), n)
-	}
-	seen := 0
-	s.ForEachMatching(q, func(types.Tuple) bool { seen++; return seen < 3 })
-	if seen != 3 {
-		t.Fatalf("ForEachMatching early stop broken: %d", seen)
+	if got := s.ScanFrom(q, mark, visit); got != mark {
+		t.Fatalf("rescan from the mark = %d, want %d unchanged", got, mark)
 	}
 }
 

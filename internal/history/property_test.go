@@ -5,13 +5,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/query"
 	"repro/internal/types"
 )
 
 // referenceStore is the brute-force oracle for the sharded store: a plain
 // linear-scan implementation with no indexes and the same tie-break rules
-// (min: smallest ID, max: largest ID, best: smallest ID).
+// (min: smallest ID, max: largest ID).
 type referenceStore struct {
 	byID map[int]types.Tuple
 	all  []types.Tuple
@@ -63,32 +64,6 @@ func (r *referenceStore) MaxMatching(q query.Query, attr int, iv types.Interval)
 		}
 	}
 	return best, found
-}
-
-func (r *referenceStore) BestMatching(q query.Query, score func(types.Tuple) float64) (types.Tuple, bool) {
-	var best types.Tuple
-	bestScore := 0.0
-	found := false
-	for _, t := range r.all {
-		if !q.Matches(t) {
-			continue
-		}
-		sc := score(t)
-		if !found || sc < bestScore || (sc == bestScore && t.ID < best.ID) {
-			best, bestScore, found = t, sc, true
-		}
-	}
-	return best, found
-}
-
-func (r *referenceStore) CountMatching(q query.Query) int {
-	n := 0
-	for _, t := range r.all {
-		if q.Matches(t) {
-			n++
-		}
-	}
-	return n
 }
 
 func (r *referenceStore) MatchingIDs(q query.Query) map[int]bool {
@@ -153,7 +128,7 @@ func randomTuple(rng *rand.Rand, id int) types.Tuple {
 }
 
 // TestShardedStoreMatchesReference interleaves Add / MinMatching /
-// MaxMatching / BestMatching / CountMatching / ForEachMatching / Get calls
+// MaxMatching / ScanFrom / Get calls
 // against the columnar store and the brute-force row-struct reference,
 // asserting identical results throughout (including categorical predicates
 // and open/closed interval endpoints, via randomQuery/randomInterval). The
@@ -168,7 +143,7 @@ func TestShardedStoreMatchesReference(t *testing.T) {
 		s := NewStore(schema())
 		ref := newReferenceStore()
 		for op := 0; op < 400; op++ {
-			switch rng.Intn(8) {
+			switch rng.Intn(6) {
 			case 0, 1: // Add a batch, IDs from a small range to force dups
 				batch := make([]types.Tuple, 1+rng.Intn(5))
 				for i := range batch {
@@ -193,28 +168,14 @@ func TestShardedStoreMatchesReference(t *testing.T) {
 					t.Fatalf("seed %d op %d: MaxMatching(%s, A%d, %s) = (%v,%v), reference (%v,%v)",
 						seed, op, q, attr, iv, got, gok, want, wok)
 				}
-			case 4:
-				q := randomQuery(rng)
-				w0, w1 := rng.Float64(), rng.Float64()
-				score := func(tp types.Tuple) float64 { return w0*tp.Ord[0] + w1*tp.Ord[1] }
-				got, gok := s.BestMatching(q, score)
-				want, wok := ref.BestMatching(q, score)
-				if gok != wok || (gok && got.ID != want.ID) {
-					t.Fatalf("seed %d op %d: BestMatching(%s) = (%v,%v), reference (%v,%v)",
-						seed, op, q, got, gok, want, wok)
-				}
-			case 5:
-				q := randomQuery(rng)
-				if got, want := s.CountMatching(q), ref.CountMatching(q); got != want {
-					t.Fatalf("seed %d op %d: CountMatching(%s) = %d, reference %d", seed, op, q, got, want)
-				}
-			case 6: // ForEachMatching visits exactly the matching set, fully materialized
+			case 4: // ScanFrom visits exactly the matching set; rows materialize intact
 				q := randomQuery(rng)
 				want := ref.MatchingIDs(q)
 				got := make(map[int]bool)
-				s.ForEachMatching(q, func(tp types.Tuple) bool {
+				s.ScanFrom(q, 0, func(v colstore.View, row int) {
+					tp := v.Tuple(row)
 					if got[tp.ID] {
-						t.Fatalf("seed %d op %d: ForEachMatching(%s) visited t#%d twice", seed, op, q, tp.ID)
+						t.Fatalf("seed %d op %d: ScanFrom(%s) visited t#%d twice", seed, op, q, tp.ID)
 					}
 					got[tp.ID] = true
 					refT := ref.byID[tp.ID]
@@ -229,17 +190,16 @@ func TestShardedStoreMatchesReference(t *testing.T) {
 					if tp.Cat["c"] != refT.Cat["c"] {
 						t.Fatalf("seed %d op %d: t#%d Cat=%q, reference %q", seed, op, tp.ID, tp.Cat["c"], refT.Cat["c"])
 					}
-					return true
 				})
 				if len(got) != len(want) {
-					t.Fatalf("seed %d op %d: ForEachMatching(%s) visited %d, reference %d", seed, op, q, len(got), len(want))
+					t.Fatalf("seed %d op %d: ScanFrom(%s) visited %d, reference %d", seed, op, q, len(got), len(want))
 				}
 				for id := range want {
 					if !got[id] {
-						t.Fatalf("seed %d op %d: ForEachMatching(%s) missed t#%d", seed, op, q, id)
+						t.Fatalf("seed %d op %d: ScanFrom(%s) missed t#%d", seed, op, q, id)
 					}
 				}
-			case 7: // Get / Has round-trip through the columnar arena
+			case 5: // Get / Has round-trip through the columnar arena
 				id := rng.Intn(200)
 				got, gok := s.Get(id)
 				want, wok := ref.byID[id]

@@ -6,28 +6,30 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/colstore"
 	"repro/internal/query"
 	"repro/internal/types"
 )
 
-// TestForEachMatchingReentrant is the regression test for the old design's
-// self-deadlock: ForEachMatching used to hold the store's read lock for the
+// TestScanFromReentrant is the regression test for an old design's
+// self-deadlock: whole-store scans used to hold the store's read lock for the
 // whole user callback, so a callback that called back into the store (an
 // Add taking the write lock, or a read racing a blocked writer) wedged
 // forever. Iteration now runs over an immutable snapshot, so re-entry —
 // including mutation — is legal.
-func TestForEachMatchingReentrant(t *testing.T) {
+func TestScanFromReentrant(t *testing.T) {
 	s := NewStore(schema())
 	s.Add(
 		types.Tuple{ID: 1, Ord: []float64{10, 0, 0}, Cat: map[string]string{"c": "x"}},
 		types.Tuple{ID: 2, Ord: []float64{20, 0, 0}, Cat: map[string]string{"c": "x"}},
 	)
 	visited := 0
-	s.ForEachMatching(query.New(), func(tp types.Tuple) bool {
+	s.ScanFrom(query.New(), 0, func(v colstore.View, row int) {
+		tp := v.Tuple(row)
 		visited++
 		// Re-enter with reads of every flavor.
-		if n := s.CountMatching(query.New()); n < 2 {
-			t.Errorf("re-entrant CountMatching = %d, want ≥ 2", n)
+		if n := countMatching(s, query.New()); n < 2 {
+			t.Errorf("re-entrant scan counted %d, want ≥ 2", n)
 		}
 		if _, ok := s.MinMatching(query.New(), 0, types.FullInterval()); !ok {
 			t.Error("re-entrant MinMatching found nothing")
@@ -38,7 +40,6 @@ func TestForEachMatchingReentrant(t *testing.T) {
 		// Re-enter with a write: tuples added mid-iteration must not be
 		// visited (the snapshot is immutable) and must not deadlock.
 		s.Add(types.Tuple{ID: 100 + tp.ID, Ord: []float64{5, 0, 0}, Cat: map[string]string{"c": "x"}})
-		return true
 	})
 	if visited != 2 {
 		t.Fatalf("visited %d tuples, want exactly the 2 present at iteration start", visited)
@@ -106,20 +107,19 @@ func TestConcurrentAddReadStress(t *testing.T) {
 					}
 				}
 				before := s.Size()
-				n := s.CountMatching(query.New())
+				n := countMatching(s, query.New())
 				if n < before {
-					t.Errorf("CountMatching(TRUE) = %d below earlier Size %d: snapshot shrank", n, before)
+					t.Errorf("scan of TRUE counted %d below earlier Size %d: snapshot shrank", n, before)
 					return
 				}
-				s.ForEachMatching(q, func(tp types.Tuple) bool {
-					if !q.Matches(tp) {
-						t.Errorf("ForEachMatching yielded non-matching tuple %v", tp)
-						return false
+				bad := false
+				s.ScanFrom(q, 0, func(v colstore.View, row int) {
+					if tp := v.Tuple(row); !bad && !q.Matches(tp) {
+						t.Errorf("ScanFrom yielded non-matching tuple %v", tp)
+						bad = true
 					}
-					return true
 				})
-				if tp, ok := s.BestMatching(q, func(tp types.Tuple) float64 { return tp.Ord[0] }); ok && !q.Matches(tp) {
-					t.Errorf("BestMatching yielded non-matching tuple %v for %s", tp, q)
+				if bad {
 					return
 				}
 			}
@@ -135,7 +135,7 @@ func TestConcurrentAddReadStress(t *testing.T) {
 	}
 	// Post-stress serial sanity: indexed lookups agree with brute force.
 	ref := newReferenceStore()
-	s.ForEachMatching(query.New(), func(tp types.Tuple) bool { ref.Add(tp); return true })
+	s.ScanFrom(query.New(), 0, func(v colstore.View, row int) { ref.Add(v.Tuple(row)) })
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
 		q, attr, iv := randomQuery(rng), rng.Intn(2), randomInterval(rng)
@@ -145,4 +145,11 @@ func TestConcurrentAddReadStress(t *testing.T) {
 			t.Fatalf("post-stress MinMatching mismatch: (%v,%v) vs reference (%v,%v)", got, gok, want, wok)
 		}
 	}
+}
+
+// countMatching counts the stored tuples matching q through one full scan.
+func countMatching(s *Store, q query.Query) int {
+	n := 0
+	s.ScanFrom(q, 0, func(colstore.View, int) { n++ })
+	return n
 }

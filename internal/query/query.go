@@ -3,103 +3,133 @@
 // subset of ordinal attributes plus equality predicates on categorical
 // attributes. It also provides Box, the axis-aligned hyper-rectangle geometry
 // used by the multi-dimensional reranking algorithms.
+//
+// A Query is an immutable value: its builders return a new value with freshly
+// allocated predicate storage and never modify the receiver, so copies can be
+// shared across goroutines and retained freely. The zero Query matches every
+// tuple.
 package query
 
 import (
+	"cmp"
+	"iter"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/types"
 )
 
 // Query is a conjunctive selection over a schema: at most one interval per
 // ordinal attribute (missing means unconstrained) and equality predicates on
-// categorical attributes.
+// categorical attributes. The zero value is the match-all query.
 type Query struct {
-	// Ranges maps ordinal-attribute schema index -> interval constraint.
-	Ranges map[int]types.Interval
-	// Cats maps categorical attribute name -> required value.
-	Cats map[string]string
+	ranges []rangePred // sorted by attr, one per attribute
+	cats   []catPred   // sorted by name, one per name
 }
 
-// New returns an empty (match-all) query.
-func New() Query {
-	return Query{Ranges: map[int]types.Interval{}, Cats: map[string]string{}}
+type rangePred struct {
+	attr int
+	iv   types.Interval
 }
 
-// Clone returns a deep copy of q.
-func (q Query) Clone() Query {
-	c := Query{
-		Ranges: make(map[int]types.Interval, len(q.Ranges)),
-		Cats:   make(map[string]string, len(q.Cats)),
-	}
-	for k, v := range q.Ranges {
-		c.Ranges[k] = v
-	}
-	for k, v := range q.Cats {
-		c.Cats[k] = v
-	}
-	return c
+type catPred struct {
+	name, value string
 }
+
+func cmpAttr(p rangePred, attr int) int  { return cmp.Compare(p.attr, attr) }
+func cmpName(p catPred, name string) int { return strings.Compare(p.name, name) }
+
+// New returns an empty (match-all) query: the zero Query.
+func New() Query { return Query{} }
 
 // WithRange returns a copy of q whose constraint on ordinal attribute attr is
 // intersected with iv.
 func (q Query) WithRange(attr int, iv types.Interval) Query {
-	c := q.Clone()
-	c.AddRange(attr, iv)
-	return c
+	return q.WithRanges([]int{attr}, func(int) types.Interval { return iv })
 }
 
-// AddRange intersects iv onto q's constraint on attr in place — the
-// allocation-free counterpart of WithRange for callers that own q (e.g. a
-// probe scratch buffer being rebuilt for every box).
-func (q *Query) AddRange(attr int, iv types.Interval) {
-	if old, ok := q.Ranges[attr]; ok {
-		iv = old.Intersect(iv)
+// WithRanges returns a copy of q with iv(j) intersected onto its constraint on
+// ordinal attribute attrs[j], for every j in order. The predicate slice is
+// allocated once, however many attributes are added.
+func (q Query) WithRanges(attrs []int, iv func(j int) types.Interval) Query {
+	out := make([]rangePred, len(q.ranges), len(q.ranges)+len(attrs))
+	copy(out, q.ranges)
+	for j, attr := range attrs {
+		i, found := slices.BinarySearchFunc(out, attr, cmpAttr)
+		if found {
+			out[i].iv = out[i].iv.Intersect(iv(j))
+		} else {
+			out = slices.Insert(out, i, rangePred{attr: attr, iv: iv(j)})
+		}
 	}
-	q.Ranges[attr] = iv
+	return Query{ranges: out, cats: q.cats}
 }
 
-// CopyFrom resets q to a deep copy of src, reusing q's existing maps so a
-// long-lived scratch query allocates nothing after warm-up.
-func (q *Query) CopyFrom(src Query) {
-	if q.Ranges == nil {
-		q.Ranges = make(map[int]types.Interval, len(src.Ranges))
-	} else {
-		clear(q.Ranges)
-	}
-	if q.Cats == nil {
-		q.Cats = make(map[string]string, len(src.Cats))
-	} else {
-		clear(q.Cats)
-	}
-	for k, v := range src.Ranges {
-		q.Ranges[k] = v
-	}
-	for k, v := range src.Cats {
-		q.Cats[k] = v
-	}
-}
-
-// WithCat returns a copy of q with an added categorical equality predicate.
+// WithCat returns a copy of q with the categorical equality predicate
+// name = value, replacing any earlier predicate on name.
 func (q Query) WithCat(name, value string) Query {
-	c := q.Clone()
-	c.Cats[name] = value
-	return c
+	out := make([]catPred, len(q.cats), len(q.cats)+1)
+	copy(out, q.cats)
+	if i, found := slices.BinarySearchFunc(out, name, cmpName); found {
+		out[i].value = value
+	} else {
+		out = slices.Insert(out, i, catPred{name: name, value: value})
+	}
+	return Query{ranges: q.ranges, cats: out}
 }
 
-// Matches reports whether tuple t satisfies every predicate of q.
+// Range returns q's constraint on ordinal attribute attr, if any.
+func (q Query) Range(attr int) (types.Interval, bool) {
+	if i, found := slices.BinarySearchFunc(q.ranges, attr, cmpAttr); found {
+		return q.ranges[i].iv, true
+	}
+	return types.Interval{}, false
+}
+
+// Cat returns the value q requires of categorical attribute name, if any.
+func (q Query) Cat(name string) (string, bool) {
+	if i, found := slices.BinarySearchFunc(q.cats, name, cmpName); found {
+		return q.cats[i].value, true
+	}
+	return "", false
+}
+
+// Ranges yields q's range predicates as (attribute, interval) in ascending
+// attribute order.
+func (q Query) Ranges() iter.Seq2[int, types.Interval] {
+	return func(yield func(int, types.Interval) bool) {
+		for _, p := range q.ranges {
+			if !yield(p.attr, p.iv) {
+				return
+			}
+		}
+	}
+}
+
+// Cats yields q's categorical predicates as (name, value) in ascending name
+// order.
+func (q Query) Cats() iter.Seq2[string, string] {
+	return func(yield func(string, string) bool) {
+		for _, p := range q.cats {
+			if !yield(p.name, p.value) {
+				return
+			}
+		}
+	}
+}
+
+// Matches reports whether tuple t satisfies every predicate of q. A
+// categorical attribute missing from t compares as "".
 func (q Query) Matches(t types.Tuple) bool {
-	for attr, iv := range q.Ranges {
-		if !iv.Contains(t.Ord[attr]) {
+	for _, p := range q.ranges {
+		if !p.iv.Contains(t.Ord[p.attr]) {
 			return false
 		}
 	}
-	for name, want := range q.Cats {
-		if t.Cat[name] != want {
+	for _, p := range q.cats {
+		if t.Cat[p.name] != p.value {
 			return false
 		}
 	}
@@ -109,8 +139,8 @@ func (q Query) Matches(t types.Tuple) bool {
 // Empty reports whether the query is trivially unsatisfiable (some range is
 // empty). A false return does not guarantee matching tuples exist.
 func (q Query) Empty() bool {
-	for _, iv := range q.Ranges {
-		if iv.Empty() {
+	for _, p := range q.ranges {
+		if p.iv.Empty() {
 			return true
 		}
 	}
@@ -118,75 +148,50 @@ func (q Query) Empty() bool {
 }
 
 // NumPredicates returns the total number of predicates.
-func (q Query) NumPredicates() int { return len(q.Ranges) + len(q.Cats) }
+func (q Query) NumPredicates() int { return len(q.ranges) + len(q.cats) }
 
 // String renders the query as a WHERE-clause-like description. It is also
 // the canonical probe-cache and singleflight key, built on every upstream
-// probe and persisted inside snapshots — so it is assembled with strconv
-// into one buffer (no fmt, no intermediate part strings) and its byte-level
-// format must never change.
+// probe and persisted in journal segments and exports — so its byte-level
+// format must never change. The predicates are already in key order, so it
+// is assembled with strconv into one local buffer.
 func (q Query) String() string {
-	if len(q.Ranges) == 0 && len(q.Cats) == 0 {
+	if len(q.ranges) == 0 && len(q.cats) == 0 {
 		return "TRUE"
 	}
-	sc := keyScratch.Get().(*queryScratch)
-	b := sc.buf[:0]
-	attrs := sc.attrs[:0]
-	for a := range q.Ranges {
-		attrs = append(attrs, a)
-	}
-	sort.Ints(attrs)
-	for i, a := range attrs {
+	var buf [512]byte
+	b := buf[:0]
+	for i, p := range q.ranges {
 		if i > 0 {
 			b = append(b, " AND "...)
 		}
 		b = append(b, 'A')
-		b = strconv.AppendInt(b, int64(a), 10)
+		b = strconv.AppendInt(b, int64(p.attr), 10)
 		b = append(b, " ∈ "...)
-		iv := q.Ranges[a]
-		if iv.LoOpen {
+		if p.iv.LoOpen {
 			b = append(b, '(')
 		} else {
 			b = append(b, '[')
 		}
-		b = strconv.AppendFloat(b, iv.Lo, 'g', -1, 64)
+		b = strconv.AppendFloat(b, p.iv.Lo, 'g', -1, 64)
 		b = append(b, ", "...)
-		b = strconv.AppendFloat(b, iv.Hi, 'g', -1, 64)
-		if iv.HiOpen {
+		b = strconv.AppendFloat(b, p.iv.Hi, 'g', -1, 64)
+		if p.iv.HiOpen {
 			b = append(b, ')')
 		} else {
 			b = append(b, ']')
 		}
 	}
-	names := sc.names[:0]
-	for n := range q.Cats {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for i, n := range names {
-		if i > 0 || len(attrs) > 0 {
+	for i, p := range q.cats {
+		if i > 0 || len(q.ranges) > 0 {
 			b = append(b, " AND "...)
 		}
-		b = append(b, n...)
+		b = append(b, p.name...)
 		b = append(b, " = "...)
-		b = strconv.AppendQuote(b, q.Cats[n])
+		b = strconv.AppendQuote(b, p.value)
 	}
-	out := string(b)
-	clear(names) // drop borrowed name strings before pooling
-	sc.buf, sc.attrs, sc.names = b[:0], attrs[:0], names[:0]
-	keyScratch.Put(sc)
-	return out
+	return string(b)
 }
-
-// queryScratch pools the buffers String needs, so building a probe key
-// allocates only the key itself once the pool is warm.
-type queryScratch struct {
-	buf   []byte
-	attrs []int
-	names []string
-}
-
-var keyScratch = sync.Pool{New: func() any { return new(queryScratch) }}
 
 // Box is an axis-aligned hyper-rectangle over a fixed list of ordinal
 // attributes, expressed in *axis coordinates* (see package ranking: axis

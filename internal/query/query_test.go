@@ -2,9 +2,10 @@ package query
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -45,19 +46,55 @@ func TestQueryMatches(t *testing.T) {
 	}
 }
 
-func TestQueryCloneIsolation(t *testing.T) {
-	q := New().WithRange(0, types.ClosedInterval(0, 1)).WithCat("c", "x")
-	c := q.Clone()
-	c.Ranges[0] = types.ClosedInterval(5, 6)
-	c.Cats["c"] = "y"
-	if q.Ranges[0].Hi != 1 || q.Cats["c"] != "x" {
-		t.Error("Clone shares maps")
+// TestQueryBuildersDoNotAlias guards the append trap: builders derived from
+// one base whose predicate slices have spare capacity must each get their
+// own storage, or the second derivation would overwrite the first's
+// predicate.
+func TestQueryBuildersDoNotAlias(t *testing.T) {
+	// WithRanges on a repeated attribute leaves one predicate in a slice
+	// sized for two.
+	base := New().WithRanges([]int{3, 3}, func(int) types.Interval { return types.ClosedInterval(0, 10) })
+	if len(base.ranges) != 1 || cap(base.ranges) < 2 {
+		t.Fatalf("setup: base ranges len %d cap %d, want spare capacity", len(base.ranges), cap(base.ranges))
+	}
+	a := base.WithRange(5, types.ClosedInterval(1, 2))
+	b := base.WithRange(7, types.ClosedInterval(3, 4))
+	if _, ok := a.Range(7); ok {
+		t.Errorf("a sees b's predicate: %s", a)
+	}
+	if iv, ok := a.Range(5); !ok || iv != types.ClosedInterval(1, 2) {
+		t.Errorf("a lost its own predicate: %s", a)
+	}
+	if _, ok := b.Range(5); ok {
+		t.Errorf("b sees a's predicate: %s", b)
+	}
+	if got := base.String(); got != "A3 ∈ [0, 10]" {
+		t.Errorf("base changed to %s", got)
+	}
+	// Intersecting an existing predicate must not write through either.
+	c := base.WithRange(3, types.ClosedInterval(5, 20))
+	if iv, _ := base.Range(3); iv != types.ClosedInterval(0, 10) {
+		t.Errorf("base range changed to %v by a derived intersect", iv)
+	}
+	if iv, _ := c.Range(3); iv != types.ClosedInterval(5, 10) {
+		t.Errorf("derived intersect = %v, want [5, 10]", iv)
+	}
+	x := New().WithCat("m", "1").WithCat("z", "1")
+	y1, y2 := x.WithCat("m", "2"), x.WithCat("p", "3")
+	if v, _ := x.Cat("m"); v != "1" {
+		t.Errorf("WithCat overwrote the base: %s", x)
+	}
+	if _, ok := y1.Cat("p"); ok {
+		t.Errorf("y1 sees y2's predicate: %s", y1)
+	}
+	if v, _ := y2.Cat("m"); v != "1" {
+		t.Errorf("y2 sees y1's overwrite: %s", y2)
 	}
 }
 
 func TestWithRangeIntersects(t *testing.T) {
 	q := New().WithRange(0, types.ClosedInterval(0, 10)).WithRange(0, types.ClosedInterval(5, 20))
-	iv := q.Ranges[0]
+	iv, _ := q.Range(0)
 	if iv.Lo != 5 || iv.Hi != 10 {
 		t.Errorf("stacked ranges = %v, want [5,10]", iv)
 	}
@@ -156,51 +193,134 @@ func TestBoxClampTo(t *testing.T) {
 	}
 }
 
-// TestQueryStringFormatStable pins the strconv-based String against the
-// original fmt-based rendering byte for byte across randomized queries.
-// Query strings are the probe-cache keys persisted inside snapshots, so any
-// format drift would silently invalidate warm-restart probe replay.
-func TestQueryStringFormatStable(t *testing.T) {
-	reference := func(q Query) string {
-		if len(q.Ranges) == 0 && len(q.Cats) == 0 {
-			return "TRUE"
-		}
-		parts := make([]string, 0, len(q.Ranges)+len(q.Cats))
-		attrs := make([]int, 0, len(q.Ranges))
-		for a := range q.Ranges {
-			attrs = append(attrs, a)
-		}
-		sort.Ints(attrs)
-		for _, a := range attrs {
-			parts = append(parts, fmt.Sprintf("A%d ∈ %s", a, q.Ranges[a]))
-		}
-		names := make([]string, 0, len(q.Cats))
-		for n := range q.Cats {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			parts = append(parts, fmt.Sprintf("%s = %q", n, q.Cats[n]))
-		}
-		return strings.Join(parts, " AND ")
-	}
+// refQuery is the map-based representation Query used to have: the
+// reference model for key rendering and matching.
+type refQuery struct {
+	ranges map[int]types.Interval
+	cats   map[string]string
+}
 
+func newRefQuery() refQuery {
+	return refQuery{ranges: map[int]types.Interval{}, cats: map[string]string{}}
+}
+
+// String is the original fmt-based key rendering.
+func (r refQuery) String() string {
+	if len(r.ranges) == 0 && len(r.cats) == 0 {
+		return "TRUE"
+	}
+	parts := make([]string, 0, len(r.ranges)+len(r.cats))
+	for _, a := range slices.Sorted(maps.Keys(r.ranges)) {
+		parts = append(parts, fmt.Sprintf("A%d ∈ %s", a, r.ranges[a]))
+	}
+	for _, n := range slices.Sorted(maps.Keys(r.cats)) {
+		parts = append(parts, fmt.Sprintf("%s = %q", n, r.cats[n]))
+	}
+	return strings.Join(parts, " AND ")
+}
+
+// Matches is the original map-walking predicate test.
+func (r refQuery) Matches(t types.Tuple) bool {
+	for attr, iv := range r.ranges {
+		if !iv.Contains(t.Ord[attr]) {
+			return false
+		}
+	}
+	for name, want := range r.cats {
+		if t.Cat[name] != want {
+			return false
+		}
+	}
+	return true
+}
+
+// build inserts r's predicates through WithRange/WithCat, taking them in
+// the order perm gives over the list of ranges (ascending attribute) then
+// categorical predicates (ascending name).
+func (r refQuery) build(perm []int) Query {
+	var add []func(Query) Query
+	for _, a := range slices.Sorted(maps.Keys(r.ranges)) {
+		add = append(add, func(q Query) Query { return q.WithRange(a, r.ranges[a]) })
+	}
+	for _, n := range slices.Sorted(maps.Keys(r.cats)) {
+		add = append(add, func(q Query) Query { return q.WithCat(n, r.cats[n]) })
+	}
+	q := New()
+	for _, i := range perm {
+		q = add[i](q)
+	}
+	return q
+}
+
+func (r refQuery) size() int { return len(r.ranges) + len(r.cats) }
+
+// keyVals covers the float renderings the key must reproduce: integers,
+// fractions, exponents, signed zero, infinities and NaN.
+var keyVals = []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 1e-9, 1e17, 123456.789,
+	math.Inf(-1), math.Inf(1), math.Pi, math.NaN()}
+
+var (
+	keyNames  = []string{"make", "color", "x y", `q"uote`, "ghost"}
+	keyValues = []string{"", "UA", `he said "hi"`, "uniçode"}
+)
+
+// TestQueryStringFormatStable pins String against the original fmt-based
+// rendering byte for byte across randomized queries, each built through
+// WithRange/WithCat in a shuffled order. Query strings are the probe-cache
+// keys persisted in journal segments, so any format drift would silently
+// invalidate warm-restart probe replay.
+func TestQueryStringFormatStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	vals := []float64{0, 1, -1, 0.5, 1e-9, 1e17, 123456.789, math.Inf(-1), math.Inf(1), math.Pi}
 	for trial := 0; trial < 500; trial++ {
-		q := New()
+		ref := newRefQuery()
 		for a := 0; a < rng.Intn(4); a++ {
-			q.Ranges[rng.Intn(6)] = types.Interval{
-				Lo: vals[rng.Intn(len(vals))], Hi: vals[rng.Intn(len(vals))],
+			ref.ranges[rng.Intn(6)] = types.Interval{
+				Lo: keyVals[rng.Intn(len(keyVals))], Hi: keyVals[rng.Intn(len(keyVals))],
 				LoOpen: rng.Intn(2) == 0, HiOpen: rng.Intn(2) == 0,
 			}
 		}
 		for c := 0; c < rng.Intn(3); c++ {
-			q.Cats[[]string{"make", "color", "x y", `q"uote`}[rng.Intn(4)]] =
-				[]string{"", "UA", `he said "hi"`, "uniçode"}[rng.Intn(4)]
+			ref.cats[keyNames[rng.Intn(4)]] = keyValues[rng.Intn(len(keyValues))]
 		}
-		if got, want := q.String(), reference(q); got != want {
+		q := ref.build(rng.Perm(ref.size()))
+		if got, want := q.String(), ref.String(); got != want {
 			t.Fatalf("String drifted:\n got %q\nwant %q", got, want)
+		}
+		if q.NumPredicates() != ref.size() {
+			t.Fatalf("NumPredicates = %d, want %d for %s", q.NumPredicates(), ref.size(), ref)
+		}
+	}
+}
+
+// TestQueryMatchesReference compares Matches with the map-based reference
+// over seeded queries and tuples, including predicates on names no tuple
+// carries, tuples with no categorical map, and "" on both sides.
+func TestQueryMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	grid := []float64{-1, 0, 0.5, 1, 2, math.Inf(1)}
+	pick := func() float64 { return grid[rng.Intn(len(grid))] }
+	for trial := 0; trial < 300; trial++ {
+		ref := newRefQuery()
+		for a := 0; a < rng.Intn(4); a++ {
+			ref.ranges[rng.Intn(4)] = types.Interval{Lo: pick(), Hi: pick(), LoOpen: rng.Intn(2) == 0, HiOpen: rng.Intn(2) == 0}
+		}
+		for c := 0; c < rng.Intn(3); c++ {
+			ref.cats[keyNames[rng.Intn(len(keyNames))]] = keyValues[rng.Intn(2)]
+		}
+		q := ref.build(rng.Perm(ref.size()))
+		for i := 0; i < 40; i++ {
+			tp := types.Tuple{Ord: []float64{pick(), pick(), pick(), pick()}}
+			if rng.Intn(4) > 0 {
+				tp.Cat = map[string]string{}
+				for _, n := range keyNames[:4] {
+					if rng.Intn(3) > 0 {
+						tp.Cat[n] = keyValues[rng.Intn(2)]
+					}
+				}
+			}
+			if got, want := q.Matches(tp), ref.Matches(tp); got != want {
+				t.Fatalf("%s on %v: Matches = %v, reference %v", q, tp, got, want)
+			}
 		}
 	}
 }

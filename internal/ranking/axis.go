@@ -190,21 +190,10 @@ func (a *Axis) RealInterval(j int, iv types.Interval) types.Interval {
 // BoxToQuery translates an axis-space box into range predicates on the real
 // attributes, intersected onto base. Dimensions spanning the full domain are
 // still emitted: real search interfaces require explicit ranges and the
-// hidden-DB simulator treats them equivalently.
+// hidden-DB simulator treats them equivalently. The probe's predicate slice
+// is allocated once, not once per dimension.
 func (a *Axis) BoxToQuery(base query.Query, b query.Box) query.Query {
-	var q query.Query
-	a.BoxToQueryInto(base, b, &q)
-	return q
-}
-
-// BoxToQueryInto is BoxToQuery writing into a caller-owned scratch query,
-// reusing its maps. The per-probe fast path: the old clone-per-dimension
-// construction allocated m+1 query copies per probe.
-func (a *Axis) BoxToQueryInto(base query.Query, b query.Box, dst *query.Query) {
-	dst.CopyFrom(base)
-	for j, attr := range a.attrs {
-		dst.AddRange(attr, a.RealInterval(j, b.Dims[j]))
-	}
+	return base.WithRanges(a.attrs, func(j int) types.Interval { return a.RealInterval(j, b.Dims[j]) })
 }
 
 // QueryToBox extracts the constraints base places on the ranked attributes as
@@ -213,7 +202,7 @@ func (a *Axis) BoxToQueryInto(base query.Query, b query.Box, dst *query.Query) {
 func (a *Axis) QueryToBox(base query.Query) query.Box {
 	b := a.DomainBox()
 	for j, attr := range a.attrs {
-		if iv, ok := base.Ranges[attr]; ok {
+		if iv, ok := base.Range(attr); ok {
 			b.Dims[j] = b.Dims[j].Intersect(a.AxisInterval(j, iv))
 		}
 	}

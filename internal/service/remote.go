@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"time"
 
@@ -105,8 +106,8 @@ func DialRemote(baseURL string, client *http.Client) (*RemoteDB, error) {
 
 // TopK implements hidden.Database.
 func (r *RemoteDB) TopK(q query.Query) (hidden.Result, error) {
-	req := SearchRequest{Filters: q.Cats}
-	for attr, iv := range q.Ranges {
+	req := SearchRequest{Filters: maps.Collect(q.Cats())}
+	for attr, iv := range q.Ranges() {
 		name := r.schema.Attr(attr).Name
 		lo, hi := iv.Lo, iv.Hi
 		rs := RangeSpec{Attr: name, MinOpen: iv.LoOpen, MaxOpen: iv.HiOpen}

@@ -302,8 +302,8 @@ func (iv Interval) Unbounded() bool {
 // String renders the interval using standard open/closed bracket notation.
 // The rendering is byte-identical to the previous fmt-based version
 // (strconv's 'g' formatting matches %g exactly, including ±Inf and NaN):
-// interval strings feed the canonical query keys that snapshots persist, so
-// the format is load-bearing, not cosmetic.
+// interval strings feed the canonical query keys that journal segments and
+// exports persist, so the format is load-bearing, not cosmetic.
 func (iv Interval) String() string {
 	b := make([]byte, 0, 24)
 	if iv.LoOpen {

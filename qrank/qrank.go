@@ -26,8 +26,9 @@
 // coalescing layer deduplicates identical in-flight upstream queries and
 // replays recent complete answers, so concurrent users with overlapping
 // queries do not multiply upstream cost (deduplicated probes are counted
-// once). Options.DisableCoalescing opts out for upstreams whose corpus
-// changes mid-run.
+// once). Options.DisableCoalescing opts out, so every probe is charged as
+// in the paper's experiments; a changing upstream corpus is handled by
+// knowledge epochs instead.
 //
 // The heavy lifting lives in internal/core (the paper's 1D-RERANK and
 // MD-RERANK algorithms with on-the-fly dense-region indexing); this package
